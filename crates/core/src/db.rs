@@ -86,6 +86,16 @@ impl<L, M: DistanceMetric> FingerprintDb<L, M> {
         self.entries.iter().map(|(l, f)| (l, f))
     }
 
+    /// Consumes the database, yielding `(label, fingerprint, packed)` in
+    /// insertion order. `packed` is the mirror built on insert, so a caller
+    /// taking ownership needs neither a copy nor a re-pack.
+    pub fn into_entries(self) -> impl Iterator<Item = (L, Fingerprint, PackedErrors)> {
+        self.entries
+            .into_iter()
+            .zip(self.packed)
+            .map(|((label, fp), packed)| (label, fp, packed))
+    }
+
     /// The entry with insertion-order id `id`, if it exists. Ids are the
     /// coordinates [`LshIndex`] candidates are expressed in.
     pub fn entry(&self, id: usize) -> Option<(&L, &Fingerprint)> {

@@ -3,7 +3,7 @@
 //!
 //! Seeds a server with a fingerprint database, then arms a seeded
 //! [`pc_faults`] plan that tears connections (`wire.read` / `wire.write`),
-//! panics shard workers (`pool.worker`), and fails scoring tasks
+//! panics the dispatcher loop (`pool.worker`), and fails identify scorings
 //! (`store.score`) at a combined rate above 10%. Concurrent clients drive
 //! identify + characterize load through the storm, retrying and reconnecting
 //! as real clients would. The experiment then tears a checkpoint save in
@@ -18,9 +18,9 @@
 //!   the last completed checkpoint after a save dies mid-write.
 //! - **Availability**: at least 99% of attempts that no fault touched
 //!   succeed (here: all of them — organic failures are zero).
-//! - **Worker panics neither deadlock the pool nor kill the server**: the
-//!   respawn counter shows workers died and came back while requests kept
-//!   being answered.
+//! - **Panics neither deadlock the pool nor kill the server**: the respawn
+//!   counter shows the dispatcher loop died and came back while requests
+//!   kept being answered.
 
 use crate::report::{artifact_dir, Report};
 use pc_faults::{self as faults, FaultPlan};
@@ -46,8 +46,8 @@ const THRESHOLD: f64 = 0.3;
 
 /// The storm: combined per-request injection rate ≈ 14% (wire.read fires on
 /// the read preceding each request, wire.write on each response, pool.worker
-/// and store.score on shard tasks), comfortably above the 10% floor the
-/// experiment promises.
+/// on each identify, store.score on each shard an identify scores),
+/// comfortably above the 10% floor the experiment promises.
 const SOAK_PLAN: &str =
     "seed=42;wire.read=p0.06;wire.write=p0.04;pool.worker=p0.02;store.score=p0.02";
 

@@ -21,6 +21,7 @@
 //! reports a suspected deadlock when the budget drains, leaking the hung
 //! thread rather than blocking CI on a join that will never return.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Mutex, MutexGuard};
@@ -29,10 +30,27 @@ use std::thread;
 /// 0 = disarmed; otherwise `seed | 1` (forced odd so a seed of 0 still
 /// arms).
 static ARMED: AtomicU64 = AtomicU64::new(0);
-/// Yield-point steps taken since the schedule was armed.
+/// Yield-point draws since the schedule was armed, on any thread; the step
+/// number each perturbation is drawn from.
+static DRAWS: AtomicU64 = AtomicU64::new(0);
+/// Yield-point steps taken on the armed schedule's own threads.
 static STEPS: AtomicU64 = AtomicU64::new(0);
+/// Bumped on every arm, so a thread's membership lapses with its schedule.
+static GENERATION: AtomicU64 = AtomicU64::new(0);
 /// Serializes armed sections across tests (process-wide hooks).
 static SERIAL: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    /// The generation of the schedule this thread belongs to (0 = none): the
+    /// arming thread, and the threads [`run_bounded`] spawns under it.
+    static MEMBER: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Whether the calling thread belongs to the currently armed schedule.
+fn is_member() -> bool {
+    let member = MEMBER.with(Cell::get);
+    member != 0 && member == GENERATION.load(Ordering::Relaxed)
+}
 
 /// splitmix64's finalizer: a cheap, well-mixed 64-bit permutation.
 fn mix(x: u64) -> u64 {
@@ -54,22 +72,31 @@ fn site_hash(site: &str) -> u64 {
 
 /// A named scheduling perturbation point. Disarmed (the production case)
 /// this is one relaxed load. Armed, it takes a step number and yields the
-/// OS scheduler 0–3 times, deterministically in (seed, site, step).
+/// OS scheduler 0–3 times, deterministically in (seed, site, step). Every
+/// thread is perturbed, but only the schedule's own threads count toward
+/// [`steps`].
 #[inline]
 pub fn yield_point(site: &str) {
     let armed = ARMED.load(Ordering::Relaxed);
     if armed == 0 {
         return;
     }
-    let step = STEPS.fetch_add(1, Ordering::Relaxed);
+    if is_member() {
+        STEPS.fetch_add(1, Ordering::Relaxed);
+    }
+    let step = DRAWS.fetch_add(1, Ordering::Relaxed);
     let n = mix(armed ^ site_hash(site) ^ mix(step)) & 3;
     for _ in 0..n {
         thread::yield_now();
     }
 }
 
-/// Yield-point steps taken under the currently/last armed schedule. A
-/// test can assert this is non-zero to prove the hooks actually fired.
+/// Yield-point steps taken under the currently/last armed schedule by its
+/// own threads: the arming thread and the workloads it runs through
+/// [`run_bounded`]. Threads outside the schedule (concurrent tests, the
+/// kernel pool's workers) are perturbed but not counted, so the count is
+/// exact. A test can assert this is non-zero to prove the hooks actually
+/// fired.
 pub fn steps() -> u64 {
     STEPS.load(Ordering::Relaxed)
 }
@@ -91,6 +118,9 @@ impl Schedule {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         STEPS.store(0, Ordering::Relaxed);
+        DRAWS.store(0, Ordering::Relaxed);
+        let generation = GENERATION.fetch_add(1, Ordering::Relaxed) + 1;
+        MEMBER.with(|m| m.set(generation));
         ARMED.store(seed | 1, Ordering::Relaxed);
         Schedule { _serial: guard }
     }
@@ -150,15 +180,18 @@ impl std::fmt::Display for Deadlock {
 
 /// Runs `work` on a fresh thread and spin-yield-polls for its result, at
 /// most `max_polls` times — a deadlock watchdog with no wall clock and no
-/// real timeout. A panic in `work` is resumed on the caller. On budget
-/// exhaustion the worker is leaked and `Err(Deadlock)` returned.
+/// real timeout. The thread joins the caller's armed schedule, if any. A
+/// panic in `work` is resumed on the caller. On budget exhaustion the
+/// worker is leaked and `Err(Deadlock)` returned.
 pub fn run_bounded<T, F>(max_polls: usize, work: F) -> Result<T, Deadlock>
 where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
     let (tx, rx) = mpsc::channel();
+    let member = MEMBER.with(Cell::get);
     let handle = thread::spawn(move || {
+        MEMBER.with(|m| m.set(member));
         // A panic in `work` drops `tx` without sending; the poll loop sees
         // Disconnected and resumes the panic from the join.
         let _ = tx.send(work());

@@ -10,8 +10,8 @@
 //! - [`store`]: the sharded fingerprint store, routed by the core
 //!   [`probable_cause::LshIndex`] so a query pays full modified-Jaccard
 //!   distance only against fingerprints it shares a MinHash band with.
-//! - [`pool`]: a bounded submission queue (explicit `busy` backpressure),
-//!   one dispatcher, and per-shard scoring workers.
+//! - [`pool`]: a bounded submission queue (explicit `busy` backpressure)
+//!   drained by one dispatcher thread that answers every request.
 //! - [`server`]: the accept loop, per-connection reader/writer threads, and
 //!   graceful drain-on-shutdown with database + index persistence.
 //! - [`client`]: a blocking client (`pc query` and the tests).

@@ -1,39 +1,39 @@
-//! The server's execution engine: a bounded submission queue, one dispatcher
-//! thread, and one worker thread per shard.
+//! The server's execution engine: a bounded submission queue drained by one
+//! dispatcher thread.
 //!
 //! Connection threads *submit* work and never touch the store. The
-//! dispatcher pops jobs in batches; identifies are scattered to the shard
-//! workers holding the LSH candidates (scoring runs concurrently across
-//! shards, and the last worker to finish merges and replies), while
-//! mutations (characterize, cluster-ingest) execute serially on the
-//! dispatcher itself so writes are deterministic in admission order.
+//! dispatcher pops jobs in batches and answers each in admission order:
+//! identifies plan, score and merge inline through
+//! [`ShardedStore::identify`] (an LSH-routed identify scores about one
+//! candidate, and a full-scan-sized candidate set borrows the kernels'
+//! thread pool), and mutations (characterize, cluster-ingest, replay) run
+//! serially, so writes are deterministic in admission order.
 //!
 //! Backpressure is explicit: the queue has a fixed capacity and
 //! [`SubmissionQueue::try_submit`] never blocks — a full queue bounces the
 //! job back so the connection can answer `busy` with a retry hint instead of
 //! stalling the read loop. Closing the queue lets already-admitted jobs
-//! drain: the dispatcher keeps popping until the queue is empty, then the
-//! shard channels close and every worker exits — that is the graceful-drain
-//! half of server shutdown.
+//! drain: the dispatcher keeps popping until the queue is empty, then exits
+//! — that is the graceful-drain half of server shutdown.
 //!
 //! # Panic containment
 //!
-//! A panic while scoring (organic, or injected via the `store.score` /
-//! `pool.worker` fault sites) fails only its own request: the panicking
-//! task marks its scatter-gather as failed so the caller gets an `Error`
-//! response instead of a hung connection, and the worker loop is restarted
-//! under `catch_unwind` — the respawn shows up in [`PoolMetrics`], which
-//! `stats` reports as `worker_panics` / `worker_respawns`.
+//! A panic while answering a job (organic, or injected via the
+//! `store.score` fault site) fails only its own request: it runs under
+//! `catch_unwind` and the caller gets an `Error` response instead of a hung
+//! connection. A panic that escapes a job (the `pool.worker` fault site,
+//! which answers its request first) restarts the dispatcher loop without
+//! losing the rest of the popped batch. Both show up in [`PoolMetrics`],
+//! which `stats` reports as `worker_panics` / `worker_respawns`.
 
 use crate::protocol::{Response, TraceBody};
 use crate::store::ShardedStore;
-use parking_lot::Mutex as PlMutex;
 use pc_telemetry::counter;
 use pc_telemetry::trace::{Stage, TraceBuilder, Tracer};
 use probable_cause::ErrorString;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -101,7 +101,7 @@ pub enum Job {
     Identify {
         /// Request sequence number, echoed in the response.
         seq: u64,
-        /// The output's error string (shared with shard workers).
+        /// The output's error string.
         errors: Arc<ErrorString>,
         /// Response channel.
         reply: Reply,
@@ -294,7 +294,7 @@ impl SubmissionQueue {
     }
 }
 
-/// Panic-and-respawn accounting for the worker set, shared with the server
+/// Panic-and-respawn accounting for the dispatcher, shared with the server
 /// so `stats` can report it.
 #[derive(Debug, Default)]
 pub struct PoolMetrics {
@@ -303,51 +303,28 @@ pub struct PoolMetrics {
 }
 
 impl PoolMetrics {
-    /// Worker/task panics absorbed (injected or organic) since start.
+    /// Request panics absorbed (injected or organic) since start.
     pub fn worker_panics(&self) -> u64 {
         self.panics.load(Ordering::Relaxed)
     }
 
-    /// Worker loops restarted after a panic since start.
+    /// Dispatcher loops restarted after a panic escaped a job since start.
     pub fn worker_respawns(&self) -> u64 {
         self.respawns.load(Ordering::Relaxed)
     }
 }
 
-/// One identify's scatter-gather state, shared by the shard workers scoring
-/// it. The last worker to report merges the partials and replies.
-///
-/// `partials` is a parking-lot mutex: a worker panicking elsewhere must not
-/// poison the gather for its sibling shards.
-struct Gather {
-    seq: u64,
-    remaining: AtomicUsize,
-    partials: PlMutex<Vec<(String, f64)>>,
-    /// First failure message reported by any shard; set once, wins.
-    failure: PlMutex<Option<String>>,
-    reply: Reply,
-    /// The request's stage timer; taken by the last shard to report.
-    trace: PlMutex<Option<Box<TraceBuilder>>>,
-}
-
-struct ShardTask {
-    ids: Vec<u32>,
-    errors: Arc<ErrorString>,
-    gather: Arc<Gather>,
-}
-
-/// The dispatcher + shard-worker thread set over a store and a queue.
+/// The dispatcher thread over a store and a queue.
 pub struct Pool {
     queue: Arc<SubmissionQueue>,
     metrics: Arc<PoolMetrics>,
     dispatcher: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Pool {
-    /// Spawns the dispatcher and one worker per store shard, with `batch_size`
-    /// as the dispatcher's maximum drain per wakeup. The `tracer` receives a
-    /// flight-recorder dump on every absorbed worker panic.
+    /// Spawns the dispatcher, with `batch_size` as its maximum drain per
+    /// wakeup. The `tracer` receives a flight-recorder dump on every
+    /// absorbed panic.
     pub fn spawn(
         store: Arc<ShardedStore>,
         queue: Arc<SubmissionQueue>,
@@ -355,44 +332,21 @@ impl Pool {
         tracer: Arc<Tracer>,
     ) -> Self {
         let metrics = Arc::new(PoolMetrics::default());
-        let mut senders = Vec::with_capacity(store.num_shards());
-        let mut workers = Vec::with_capacity(store.num_shards());
-        for shard in 0..store.num_shards() {
-            let (tx, rx) = mpsc::channel::<ShardTask>();
-            senders.push(tx);
-            let store = Arc::clone(&store);
-            let metrics = Arc::clone(&metrics);
-            let tracer = Arc::clone(&tracer);
-            workers.push(
-                thread::Builder::new()
-                    .name(format!("pc-shard-{shard}"))
-                    .spawn(move || shard_worker(shard, store, rx, metrics, tracer))
-                    // pc-allow: P002 — startup-only spawn, fails before any traffic is accepted
-                    .expect("spawn shard worker"),
-            );
-        }
-        let dispatcher_queue = Arc::clone(&queue);
-        let dispatcher_metrics = Arc::clone(&metrics);
-        let dispatcher_tracer = Arc::clone(&tracer);
+        let dispatcher = Dispatcher {
+            store,
+            queue: Arc::clone(&queue),
+            metrics: Arc::clone(&metrics),
+            tracer,
+        };
         let dispatcher = thread::Builder::new()
             .name("pc-dispatcher".to_string())
-            .spawn(move || {
-                dispatch_loop(
-                    store,
-                    dispatcher_queue,
-                    senders,
-                    batch_size,
-                    dispatcher_metrics,
-                    dispatcher_tracer,
-                )
-            })
+            .spawn(move || dispatcher.run(batch_size))
             // pc-allow: P002 — startup-only spawn, fails before any traffic is accepted
             .expect("spawn dispatcher");
         Self {
             queue,
             metrics,
             dispatcher: Some(dispatcher),
-            workers,
         }
     }
 
@@ -402,308 +356,181 @@ impl Pool {
     }
 
     /// Closes the queue and blocks until every admitted job has been
-    /// answered and all threads have exited.
+    /// answered and the dispatcher has exited.
     pub fn drain_and_join(mut self) {
         self.queue.close();
         if let Some(d) = self.dispatcher.take() {
             let _ = d.join();
         }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
     }
 }
 
-fn dispatch_loop(
+/// Sends `response` (wrapped by [`apply_trace`]) to the job's connection. A
+/// connection that already went away is not the engine's failure.
+fn answer(reply: &Reply, seq: u64, mut trace: Option<Box<TraceBuilder>>, response: Response) {
+    let response = apply_trace(&mut trace, response);
+    let _ = reply.send(Outbound {
+        seq,
+        response,
+        trace,
+    });
+}
+
+/// What the dispatcher thread owns.
+struct Dispatcher {
     store: Arc<ShardedStore>,
     queue: Arc<SubmissionQueue>,
-    senders: Vec<mpsc::Sender<ShardTask>>,
-    batch_size: usize,
     metrics: Arc<PoolMetrics>,
     tracer: Arc<Tracer>,
-) {
-    while let Some(batch) = queue.pop_batch(batch_size) {
-        counter!("service.dispatch.batches").incr();
-        counter!("service.dispatch.jobs").add(batch.len() as u64);
-        for mut job in batch {
-            let _span = pc_telemetry::time!("service.dispatch.route");
-            // Pickup closes the queue-wait stage: admission → here.
-            if let Some(tb) = job.trace_mut() {
-                tb.record_lap(Stage::QueueWait);
+}
+
+impl Dispatcher {
+    /// Answers jobs until the queue is closed and drained. A panic escaping
+    /// a job restarts the loop; the rest of the popped batch lives outside
+    /// the unwind, so no admitted job is lost to a sibling's panic.
+    fn run(&self, batch_size: usize) {
+        let mut pending = VecDeque::new();
+        while catch_unwind(AssertUnwindSafe(|| self.drain(&mut pending, batch_size))).is_err() {
+            self.metrics.respawns.fetch_add(1, Ordering::Relaxed);
+            counter!("service.pool.respawns").incr();
+        }
+    }
+
+    fn drain(&self, pending: &mut VecDeque<Job>, batch_size: usize) {
+        loop {
+            let Some(job) = pending.pop_front() else {
+                let Some(batch) = self.queue.pop_batch(batch_size) else {
+                    return;
+                };
+                counter!("service.dispatch.batches").incr();
+                counter!("service.dispatch.jobs").add(batch.len() as u64);
+                pending.extend(batch);
+                continue;
+            };
+            self.handle(job);
+        }
+    }
+
+    /// Counts one absorbed panic and dumps the flight recorder.
+    fn note_panic(&self) {
+        self.metrics.panics.fetch_add(1, Ordering::Relaxed);
+        counter!("service.pool.panics").incr();
+        self.tracer.dump("worker_panic");
+    }
+
+    /// Runs `work` under `catch_unwind`, so a poisoned request cannot take
+    /// down the dispatcher: a panic fails only this request, as an `Error`.
+    fn contained(&self, what: &str, work: impl FnOnce() -> Response) -> Response {
+        catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|_| {
+            self.note_panic();
+            Response::Error {
+                message: format!("{what} panicked; request dropped"),
             }
-            match job {
-                Job::Identify {
-                    seq,
-                    errors,
-                    reply,
-                    mut trace,
-                } => {
-                    let (plan, total) = store.plan_identify(&errors);
-                    if total == 0 {
-                        // No band collision anywhere: a certain miss.
-                        let response = apply_trace(&mut trace, Response::NoMatch { closest: None });
-                        let _ = reply.send(Outbound {
-                            seq,
-                            response,
-                            trace,
-                        });
-                        continue;
-                    }
-                    let busy: Vec<(usize, Vec<u32>)> = plan
-                        .into_iter()
-                        .enumerate()
-                        .filter(|(_, ids)| !ids.is_empty())
-                        .collect();
-                    let gather = Arc::new(Gather {
-                        seq,
-                        remaining: AtomicUsize::new(busy.len()),
-                        partials: PlMutex::new(Vec::with_capacity(busy.len())),
-                        failure: PlMutex::new(None),
-                        reply,
-                        trace: PlMutex::new(trace),
-                    });
-                    for (shard, ids) in busy {
-                        let task = ShardTask {
-                            ids,
-                            errors: Arc::clone(&errors),
-                            gather: Arc::clone(&gather),
-                        };
-                        // Workers survive panics (their loops respawn), so
-                        // the channel only closes at pool teardown — but a
-                        // missing or closed channel must fail this request,
-                        // not the dispatcher.
-                        let sent = senders
-                            .get(shard)
-                            .map(|tx| tx.send(task))
-                            .filter(|sent| sent.is_ok());
-                        if sent.is_none() {
-                            finish_shard(
-                                &store,
-                                &gather,
-                                None,
-                                Some(format!("shard {shard} unavailable; request dropped")),
-                            );
-                        }
-                    }
+        })
+    }
+
+    /// Answers one job. Identifies score inline through
+    /// [`ShardedStore::identify`]; mutations run in admission order.
+    fn handle(&self, mut job: Job) {
+        let _span = pc_telemetry::time!("service.dispatch.route");
+        // Pickup closes the queue-wait stage: admission → here.
+        if let Some(tb) = job.trace_mut() {
+            tb.record_lap(Stage::QueueWait);
+        }
+        let store = &*self.store;
+        match job {
+            Job::Identify {
+                seq,
+                errors,
+                reply,
+                trace,
+            } => {
+                if pc_faults::fail_point("pool.worker") {
+                    // Answer the caller first, then die like a real worker
+                    // panic: `run` restarts the loop and the request gets
+                    // `Error` instead of hanging its connection.
+                    self.note_panic();
+                    let message = "identify failed (dispatcher panicked)".to_string();
+                    answer(&reply, seq, trace, Response::Error { message });
+                    // pc-allow: P003 — deliberate fault-injection site; the request is already answered
+                    panic!("injected fault at pool.worker");
                 }
-                Job::Characterize {
-                    seq,
-                    label,
-                    errors,
-                    reply,
-                    mut trace,
-                    wseq,
-                } => {
-                    // The mutation runs under catch_unwind so a poisoned
-                    // observation cannot take down the dispatcher — the one
-                    // thread the whole pool depends on.
-                    let outcome =
-                        catch_unwind(AssertUnwindSafe(|| store.characterize(&label, &errors)));
+                let response = self.contained("identify", || match store.identify(&errors) {
+                    Ok(Ok((label, distance))) => Response::Match { label, distance },
+                    Ok(Err(closest)) => Response::NoMatch { closest },
+                    Err(e) => Response::Error {
+                        message: e.to_string(),
+                    },
+                });
+                answer(&reply, seq, trace, response);
+            }
+            Job::Characterize {
+                seq,
+                label,
+                errors,
+                reply,
+                trace,
+                wseq,
+            } => {
+                let response = self.contained("characterize", || {
+                    let outcome = store.characterize(&label, &errors);
                     // Advance the replay-dedup watermark whenever the
-                    // mutation ran to completion (validation refusals
-                    // would be refused again on replay); a panic leaves
-                    // it untouched so replay retries the entry.
-                    if let (Some(wseq), Ok(_)) = (wseq, &outcome) {
+                    // mutation ran to completion (validation refusals would
+                    // be refused again on replay); a panic skips this, so
+                    // replay retries the entry.
+                    if let Some(wseq) = wseq {
                         store.note_routed_write(wseq);
                     }
-                    let response = match outcome {
-                        Ok(Ok((weight, observations, created))) => Response::Characterized {
+                    match outcome {
+                        Ok((weight, observations, created)) => Response::Characterized {
                             label,
                             weight,
                             observations,
                             created,
                         },
-                        Ok(Err(e)) => Response::Error {
+                        Err(e) => Response::Error {
                             message: e.to_string(),
                         },
-                        Err(_) => {
-                            metrics.panics.fetch_add(1, Ordering::Relaxed);
-                            counter!("service.pool.panics").incr();
-                            tracer.dump("worker_panic");
-                            Response::Error {
-                                message: "characterize panicked; request dropped".to_string(),
-                            }
-                        }
-                    };
-                    let response = apply_trace(&mut trace, response);
-                    let _ = reply.send(Outbound {
-                        seq,
-                        response,
-                        trace,
-                    });
-                }
-                Job::ClusterIngest {
-                    seq,
-                    errors,
-                    reply,
-                    mut trace,
-                    wseq,
-                } => {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| store.cluster_ingest(&errors)));
-                    if let (Some(wseq), Ok(_)) = (wseq, &outcome) {
+                    }
+                });
+                answer(&reply, seq, trace, response);
+            }
+            Job::ClusterIngest {
+                seq,
+                errors,
+                reply,
+                trace,
+                wseq,
+            } => {
+                let response = self.contained("cluster-ingest", || {
+                    let outcome = store.cluster_ingest(&errors);
+                    if let Some(wseq) = wseq {
                         store.note_routed_write(wseq);
                     }
-                    let response = match outcome {
-                        Ok(Ok((cluster, seeded, clusters))) => Response::Clustered {
+                    match outcome {
+                        Ok((cluster, seeded, clusters)) => Response::Clustered {
                             cluster,
                             seeded,
                             clusters,
                         },
-                        Ok(Err(e)) => Response::Error {
+                        Err(e) => Response::Error {
                             message: e.to_string(),
                         },
-                        Err(_) => {
-                            metrics.panics.fetch_add(1, Ordering::Relaxed);
-                            counter!("service.pool.panics").incr();
-                            tracer.dump("worker_panic");
-                            Response::Error {
-                                message: "cluster-ingest panicked; request dropped".to_string(),
-                            }
-                        }
-                    };
-                    let response = apply_trace(&mut trace, response);
-                    let _ = reply.send(Outbound {
-                        seq,
-                        response,
-                        trace,
-                    });
-                }
-                Job::Replay {
-                    seq,
-                    entries,
-                    reply,
-                    mut trace,
-                } => {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| store.apply_replay(&entries)));
-                    let response = match outcome {
-                        Ok((applied, skipped)) => Response::Replayed { applied, skipped },
-                        Err(_) => {
-                            metrics.panics.fetch_add(1, Ordering::Relaxed);
-                            counter!("service.pool.panics").incr();
-                            tracer.dump("worker_panic");
-                            Response::Error {
-                                message: "replay panicked; request dropped".to_string(),
-                            }
-                        }
-                    };
-                    let response = apply_trace(&mut trace, response);
-                    let _ = reply.send(Outbound {
-                        seq,
-                        response,
-                        trace,
-                    });
-                }
+                    }
+                });
+                answer(&reply, seq, trace, response);
             }
-        }
-    }
-    // Queue closed and drained; dropping `senders` closes the shard
-    // channels, letting workers finish their backlog and exit.
-}
-
-/// Reports one shard's result into the gather; the last shard to report
-/// merges and replies (an `Error` if any sibling failed).
-fn finish_shard(
-    store: &ShardedStore,
-    gather: &Gather,
-    partial: Option<(String, f64)>,
-    failure: Option<String>,
-) {
-    if let Some(message) = failure {
-        gather.failure.lock().get_or_insert(message);
-    }
-    if let Some(p) = partial {
-        gather.partials.lock().push(p);
-    }
-    if gather.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        let response = if let Some(message) = gather.failure.lock().take() {
-            Response::Error { message }
-        } else {
-            let partials = std::mem::take(&mut *gather.partials.lock());
-            match store.merge_verdict(partials) {
-                Ok((label, distance)) => Response::Match { label, distance },
-                Err(closest) => Response::NoMatch { closest },
-            }
-        };
-        let mut trace = gather.trace.lock().take();
-        let response = apply_trace(&mut trace, response);
-        let _ = gather.reply.send(Outbound {
-            seq: gather.seq,
-            response,
-            trace,
-        });
-    }
-}
-
-/// Handles one scatter task. May panic (`pool.worker` fault site, or an
-/// organic scoring panic escaping the inner guard) — but only after the
-/// task's own gather has been failed, so the caller always gets an answer.
-fn handle_shard_task(
-    shard: usize,
-    store: &ShardedStore,
-    task: ShardTask,
-    metrics: &PoolMetrics,
-    tracer: &Tracer,
-) {
-    if pc_faults::fail_point("pool.worker") {
-        // Fail the caller first, then die like a real worker panic: the
-        // loop in `shard_worker` respawns us and the request answers
-        // `Error` instead of hanging its connection.
-        metrics.panics.fetch_add(1, Ordering::Relaxed);
-        counter!("service.pool.panics").incr();
-        tracer.dump("worker_panic");
-        finish_shard(
-            store,
-            &task.gather,
-            None,
-            Some("shard scoring failed (worker panicked)".to_string()),
-        );
-        // pc-allow: P003 — deliberate fault-injection site; the gather is already failed
-        panic!("injected fault at pool.worker");
-    }
-    let scored = catch_unwind(AssertUnwindSafe(|| {
-        if pc_faults::fail_point("store.score") {
-            // pc-allow: P003 — deliberate fault-injection site inside catch_unwind
-            panic!("injected fault at store.score");
-        }
-        store.score_shard(shard, &task.ids, &task.errors)
-    }));
-    match scored {
-        Ok(Ok(best)) => finish_shard(store, &task.gather, best, None),
-        Ok(Err(e)) => finish_shard(store, &task.gather, None, Some(e.to_string())),
-        Err(_) => {
-            metrics.panics.fetch_add(1, Ordering::Relaxed);
-            counter!("service.pool.panics").incr();
-            tracer.dump("worker_panic");
-            finish_shard(
-                store,
-                &task.gather,
-                None,
-                Some("shard scoring failed (worker panicked)".to_string()),
-            );
-        }
-    }
-}
-
-fn shard_worker(
-    shard: usize,
-    store: Arc<ShardedStore>,
-    rx: mpsc::Receiver<ShardTask>,
-    metrics: Arc<PoolMetrics>,
-    tracer: Arc<Tracer>,
-) {
-    loop {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            while let Ok(task) = rx.recv() {
-                handle_shard_task(shard, &store, task, &metrics, &tracer);
-            }
-        }));
-        match run {
-            // Channel closed: pool teardown, exit cleanly.
-            Ok(()) => break,
-            // A task panicked through: restart the receive loop.
-            Err(_) => {
-                metrics.respawns.fetch_add(1, Ordering::Relaxed);
-                counter!("service.pool.respawns").incr();
+            Job::Replay {
+                seq,
+                entries,
+                reply,
+                trace,
+            } => {
+                let response = self.contained("replay", || {
+                    let (applied, skipped) = store.apply_replay(&entries);
+                    Response::Replayed { applied, skipped }
+                });
+                answer(&reply, seq, trace, response);
             }
         }
     }

@@ -203,11 +203,13 @@ pub struct StatsBody {
     pub admitted: u64,
     /// Requests rejected with `busy` since start.
     pub rejected: u64,
-    /// Full distance evaluations paid by shard workers since start.
+    /// Full distance evaluations paid by identify and cluster-ingest
+    /// scoring since start.
     pub distance_evals: u64,
-    /// Shard-worker panics absorbed (injected or organic) since start.
+    /// Request panics absorbed (injected or organic) since start.
     pub worker_panics: u64,
-    /// Shard-worker loops respawned after a panic since start.
+    /// Dispatcher loops restarted after a panic escaped a request since
+    /// start.
     pub worker_respawns: u64,
     /// Whether the store is serving in degraded (linear-scan) mode while
     /// its routing index rebuilds.

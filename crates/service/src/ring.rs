@@ -344,6 +344,7 @@ pub struct Journal {
 impl Journal {
     /// Appends one mutation under the router's write sequence `seq`.
     pub fn push(&mut self, seq: u64, entry: ReplayEntry) {
+        pc_kernels::sched::yield_point("journal.push");
         self.entries.push_back(SequencedEntry { seq, entry });
         self.appended = self.appended.saturating_add(1);
     }
@@ -355,6 +356,7 @@ impl Journal {
     /// [`appended`](Self::appended); retractions are counted separately
     /// by the caller.
     pub fn retract_last(&mut self) {
+        pc_kernels::sched::yield_point("journal.retract");
         self.entries.pop_back();
     }
 
@@ -382,6 +384,7 @@ impl Journal {
     /// first. The journal keeps them until [`truncate`](Self::truncate) —
     /// replay alone is not durable.
     pub fn snapshot(&mut self) -> Vec<SequencedEntry> {
+        pc_kernels::sched::yield_point("journal.snapshot");
         self.replayed = self.replayed.saturating_add(self.entries.len() as u64);
         self.entries.iter().cloned().collect()
     }
@@ -389,6 +392,7 @@ impl Journal {
     /// Drops the oldest `n` entries after the replica acknowledged a
     /// durability checkpoint covering them.
     pub fn truncate(&mut self, n: usize) {
+        pc_kernels::sched::yield_point("journal.truncate");
         let n = n.min(self.entries.len());
         self.entries.drain(..n);
     }

@@ -9,7 +9,7 @@
 //!                                 ▼
 //!                    SubmissionQueue (bounded)
 //!                                 │ pop_batch
-//!                         pc-dispatcher ── scatter ──▶ pc-shard-S …
+//!                         pc-dispatcher (plan → score → merge, mutations)
 //! ```
 //!
 //! Shutdown can be triggered three ways — a `shutdown` request on any
@@ -17,7 +17,7 @@
 //! always graceful: the accept loop stops taking connections, every
 //! connection's read half is closed so no *new* requests arrive, the queue
 //! drains every already-admitted job (their responses still flow out through
-//! the per-connection writers), shard workers and dispatcher join, and the
+//! the per-connection writers), the dispatcher joins, and the
 //! database + routing index are persisted (atomically, see
 //! [`probable_cause::persistence`]) if paths were configured.
 //!
@@ -403,15 +403,16 @@ fn load_store(config: &ServerConfig) -> io::Result<ShardedStore> {
         }
     });
     if let Some(index) = index_recovered {
-        match ShardedStore::from_db_with_index(config.store.clone(), &db.value, index) {
-            Ok(store) => return Ok(store),
-            Err(_) => counter!("service.recovery.index_mismatch").incr(),
+        if ShardedStore::check_index(&db.value, &index).is_ok() {
+            return ShardedStore::from_db_with_index(config.store.clone(), db.value, index)
+                .map_err(to_io);
         }
+        counter!("service.recovery.index_mismatch").incr();
     }
     counter!("service.recovery.degraded_start").incr();
     Ok(ShardedStore::from_db_degraded(
         config.store.clone(),
-        &db.value,
+        db.value,
     ))
 }
 

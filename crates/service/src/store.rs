@@ -5,12 +5,14 @@
 //! per shard and the global insertion order (the coordinate system of the
 //! core [`LshIndex`] and of [`probable_cause::persistence`]) is recoverable.
 //!
-//! Reads (identify scoring) take per-shard read locks and run concurrently
-//! across shards; mutations (characterize, cluster-ingest) are already
-//! serialized by the dispatcher thread (see [`crate::pool`]) and take the
-//! narrow write locks they need. The [`LshIndex`] routes every identify to
-//! the candidate ids that share a MinHash band with the query, so only those
-//! pay full modified-Jaccard distance.
+//! Shards are a data partition, not threads: [`ShardedStore::identify`]
+//! plans, scores each shard's candidates under that shard's read lock, and
+//! merges, all on the calling thread. Mutations (characterize,
+//! cluster-ingest) are serialized by the dispatcher thread (see
+//! [`crate::pool`]) and take the narrow write locks they need. The
+//! [`LshIndex`] routes every identify to the candidate ids that share a
+//! MinHash band with the query, so only those pay full modified-Jaccard
+//! distance.
 
 use parking_lot::{Mutex, RwLock};
 use pc_kernels::{distance_packed, MetricKind, PackedErrors, Parallelism};
@@ -28,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// Store geometry and matching parameters.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Number of shards (and shard worker threads).
+    /// Number of shards the entries are partitioned into.
     pub shards: usize,
     /// MinHash bands for the routing index.
     pub bands: usize,
@@ -99,9 +101,13 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// An identify's outcome: `Ok((label, distance))` on a match, otherwise
+/// `Err` with the closest candidate scored, if any.
+pub type Verdict = Result<(String, f64), Option<(String, f64)>>;
+
 /// Candidate-set size at which a shard scan borrows the kernel thread pool.
-/// Routine LSH-routed identifies shortlist far fewer candidates than this
-/// and stay on the shard worker; degraded full scans cross it.
+/// Routine LSH-routed identifies shortlist about one candidate and score on
+/// the calling thread; degraded full scans of large shards cross it.
 const PARALLEL_SCORE_MIN: usize = 4_096;
 
 /// One shard's slice of the store, slot-addressed (`slot = id / num_shards`).
@@ -172,30 +178,44 @@ impl ShardedStore {
         }
     }
 
-    /// Creates a store pre-loaded from `db` (global id = the database's
-    /// insertion order) with a freshly built routing index.
-    pub fn from_db(config: StoreConfig, db: &FingerprintDb<String, PcDistance>) -> Self {
-        let mut config = config;
-        config.threshold = db.threshold();
-        let store = Self::new(config);
-        for (label, fp) in db.iter() {
-            store.insert_new(label.clone(), fp.clone());
-        }
-        store
-    }
-
     /// Creates a store from `db` in degraded mode: entries load without
     /// index signing, identifies answer by linear scan, and a later
     /// [`ShardedStore::rebuild_index`] (typically on a background thread)
     /// restores routed serving. This is the recovery path when the index
     /// file is damaged but the database survived.
-    pub fn from_db_degraded(config: StoreConfig, db: &FingerprintDb<String, PcDistance>) -> Self {
-        let mut config = config;
+    pub fn from_db_degraded(config: StoreConfig, db: FingerprintDb<String, PcDistance>) -> Self {
+        Self::from_loaded(config, db, None)
+    }
+
+    /// Moves `db`'s entries into a new store (global id = the database's
+    /// insertion order) without MinHash-signing any of them: `index` becomes
+    /// the routing index, or the store starts degraded when there is none.
+    fn from_loaded(
+        mut config: StoreConfig,
+        db: FingerprintDb<String, PcDistance>,
+        index: Option<LshIndex>,
+    ) -> Self {
         config.threshold = db.threshold();
+        if let Some(index) = &index {
+            config.bands = index.bands();
+            config.rows_per_band = index.rows_per_band();
+            config.index_seed = index.seed();
+        }
         let store = Self::new(config);
+        // Degraded while loading, so inserts skip index writes.
         store.degraded.store(true, Ordering::Release);
-        for (label, fp) in db.iter() {
-            store.insert_new(label.clone(), fp.clone());
+        {
+            let mut labels = store.labels.lock();
+            for (label, fp, packed) in db.into_entries() {
+                store.insert_locked(&mut labels, label, fp, packed);
+            }
+        }
+        if let Some(index) = index {
+            // Adopt the persisted bucket layout verbatim so a save
+            // round-trips byte-identically even if insertion order would
+            // lay buckets out differently.
+            *store.index.write() = index;
+            store.degraded.store(false, Ordering::Release);
         }
         store
     }
@@ -262,21 +282,16 @@ impl ShardedStore {
         self.metric.kind().unwrap_or(MetricKind::PcJaccard)
     }
 
-    /// Inserts a brand-new labelled fingerprint, allocating its global id.
-    /// The caller must have verified the label is unused.
-    fn insert_new(&self, label: String, fp: Fingerprint) -> u32 {
-        let mut labels = self.labels.lock();
-        self.insert_locked(&mut labels, label, fp)
-    }
-
-    /// [`ShardedStore::insert_new`] with the label book already held (the
-    /// `characterize` create path holds it across its whole mutation).
+    /// Inserts a brand-new labelled fingerprint with its packed form,
+    /// allocating its global id. The caller holds the label book and must
+    /// have verified the label is unused.
     fn insert_locked(
         &self,
         labels: &mut BTreeMap<String, u32>,
         label: String,
         fp: Fingerprint,
-    ) -> u32 {
+        packed: PackedErrors,
+    ) {
         debug_assert!(!labels.contains_key(&label));
         let id = labels.len() as u32;
         let mut shard = self.shard_for(id).write();
@@ -284,14 +299,13 @@ impl ShardedStore {
         if !self.degraded.load(Ordering::Acquire) {
             self.index.write().insert(id, fp.errors());
         }
-        shard.packed.push(fp.errors().to_packed());
+        shard.packed.push(packed);
         shard.entries.push((label.clone(), fp));
         labels.insert(label, id);
         // Published only after the shard slot exists, so a degraded linear
         // scan never plans an id whose entry is not yet in place.
         self.entry_count
             .store(labels.len() as u64, Ordering::Release);
-        id
     }
 
     /// The LSH candidate ids for `errors`, grouped by shard:
@@ -333,6 +347,10 @@ impl ShardedStore {
         errors: &ErrorString,
     ) -> Result<Option<(String, f64)>, StoreError> {
         let _span = pc_telemetry::time!("service.store.score");
+        if pc_faults::fail_point("store.score") {
+            // pc-allow: P003 — deliberate fault-injection site; the dispatcher answers it under catch_unwind
+            panic!("injected fault at store.score");
+        }
         let Some(lock) = self.shards.get(shard) else {
             return Err(StoreError::MissingShard { shard });
         };
@@ -342,12 +360,10 @@ impl ShardedStore {
             return Err(StoreError::MissingSlot { shard, slot });
         }
         let kind = self.kind();
-        // Shard workers already run concurrently, so small candidate sets
-        // score single-threaded on the packed kernels. Full-scan-sized sets
-        // (index degraded or rebuilding, router fan-outs) borrow the
-        // persistent kernel pool instead of serializing a whole shard scan
-        // onto one worker — the pool runs one job at a time, so concurrent
-        // shard scans queue rather than oversubscribe.
+        // Small candidate sets score single-threaded on the packed kernels.
+        // Full-scan-sized sets (index degraded or rebuilding) borrow the
+        // persistent kernel pool instead of scanning a whole shard on one
+        // thread.
         let par = if slots.len() >= PARALLEL_SCORE_MIN {
             Parallelism::auto()
         } else {
@@ -379,10 +395,7 @@ impl ShardedStore {
     /// Merges per-shard bests into the final verdict: `Ok((label, distance))`
     /// when the global best clears the threshold, `Err(closest)` otherwise
     /// (with the closest candidate scored, if any).
-    pub fn merge_verdict(
-        &self,
-        partials: impl IntoIterator<Item = (String, f64)>,
-    ) -> Result<(String, f64), Option<(String, f64)>> {
+    pub fn merge_verdict(&self, partials: impl IntoIterator<Item = (String, f64)>) -> Verdict {
         let mut best: Option<(String, f64)> = None;
         for (label, d) in partials {
             let better = match &best {
@@ -399,17 +412,22 @@ impl ShardedStore {
         }
     }
 
-    /// Single-threaded identify (planning, scoring, and merging in one call):
-    /// the reference the scatter-gather path must agree with, also used for
-    /// inline scoring in tests.
-    pub fn identify(&self, errors: &ErrorString) -> Result<(String, f64), Option<(String, f64)>> {
+    /// Identify (Algorithm 2 over the LSH shortlist): plans, scores every
+    /// shard holding candidates, and merges. This is the one identify path;
+    /// the server's dispatcher answers identifies through it.
+    ///
+    /// # Errors
+    ///
+    /// The first [`StoreError`] any shard's scoring reports.
+    pub fn identify(&self, errors: &ErrorString) -> Result<Verdict, StoreError> {
         let (plan, _) = self.plan_identify(errors);
-        let partials = plan
-            .iter()
-            .enumerate()
-            .filter(|(_, ids)| !ids.is_empty())
-            .filter_map(|(s, ids)| self.score_shard(s, ids, errors).ok().flatten());
-        self.merge_verdict(partials)
+        let mut partials = Vec::new();
+        for (shard, ids) in plan.iter().enumerate() {
+            if !ids.is_empty() {
+                partials.extend(self.score_shard(shard, ids, errors)?);
+            }
+        }
+        Ok(self.merge_verdict(partials))
     }
 
     /// Incremental Algorithm 1: refines the labelled fingerprint with one
@@ -433,7 +451,7 @@ impl ShardedStore {
         let Some(id) = labels.get(label).copied() else {
             let fp = Fingerprint::from_observation(errors.clone());
             let (weight, observations) = (fp.weight(), fp.observations());
-            self.insert_locked(&mut labels, label.to_string(), fp);
+            self.insert_locked(&mut labels, label.to_string(), fp, errors.to_packed());
             counter!("service.store.characterize.created").incr();
             return Ok((weight, observations, true));
         };
@@ -668,45 +686,46 @@ impl ShardedStore {
     ) -> Result<Self, DbIoError> {
         let db = persistence::load_db(db_reader)?;
         let index = persistence::load_index(index_reader)?;
-        Self::from_db_with_index(config, &db, index)
+        Self::from_db_with_index(config, db, index)
     }
 
     /// Builds a store from an already-loaded database and routing index,
-    /// validating that they agree on the entry count.
+    /// moving the database's fingerprints in.
     ///
     /// # Errors
     ///
     /// A mismatch error when the index does not cover exactly the database's
-    /// entries.
+    /// entries. The server checks first, while it still owns the database,
+    /// so a mismatch can fall back to [`ShardedStore::from_db_degraded`].
     pub fn from_db_with_index(
         config: StoreConfig,
-        db: &FingerprintDb<String, PcDistance>,
+        db: FingerprintDb<String, PcDistance>,
         index: LshIndex,
     ) -> Result<Self, DbIoError> {
-        if index.len() != db.len() {
-            return Err(DbIoError::BadFormat {
-                line: 0,
-                message: format!(
-                    "index covers {} entries but database has {}",
-                    index.len(),
-                    db.len()
-                ),
-            });
+        Self::check_index(&db, &index)?;
+        Ok(Self::from_loaded(config, db, Some(index)))
+    }
+
+    /// Checks that `index` covers exactly `db`'s entries.
+    ///
+    /// # Errors
+    ///
+    /// A format error naming both entry counts when they disagree.
+    pub(crate) fn check_index(
+        db: &FingerprintDb<String, PcDistance>,
+        index: &LshIndex,
+    ) -> Result<(), DbIoError> {
+        if index.len() == db.len() {
+            return Ok(());
         }
-        let mut config = config;
-        config.threshold = db.threshold();
-        config.bands = index.bands();
-        config.rows_per_band = index.rows_per_band();
-        config.index_seed = index.seed();
-        let store = Self::new(config);
-        for (label, fp) in db.iter() {
-            store.insert_new(label.clone(), fp.clone());
-        }
-        // Adopt the persisted bucket layout verbatim so a save round-trips
-        // byte-identically even if insertion order would lay buckets out
-        // differently.
-        *store.index.write() = index;
-        Ok(store)
+        Err(DbIoError::BadFormat {
+            line: 0,
+            message: format!(
+                "index covers {} entries but database has {}",
+                index.len(),
+                db.len()
+            ),
+        })
     }
 }
 
@@ -744,7 +763,7 @@ mod tests {
             let mut bits = chip_bits(chip);
             bits.push(4000 + chip); // one noise bit
             let probe = es(&bits);
-            let sharded = store.identify(&probe).ok();
+            let sharded = store.identify(&probe).unwrap().ok();
             let flat = db
                 .identify_with_distance(&probe)
                 .map(|(l, d)| (l.clone(), d));
@@ -762,7 +781,7 @@ mod tests {
         assert_eq!(o1, 2);
         assert_eq!(w1, 30);
         // The refined fingerprint must still be found via the index.
-        let (label, _) = store.identify(&es(&chip_bits(0)[..30])).unwrap();
+        let (label, _) = store.identify(&es(&chip_bits(0)[..30])).unwrap().unwrap();
         assert_eq!(label, "chip-00");
     }
 
@@ -797,7 +816,7 @@ mod tests {
         let store = populated(2);
         // Far from everything and sharing no band: no candidates at all.
         let stranger = es(&[2000, 2100, 2200, 2300]);
-        match store.identify(&stranger) {
+        match store.identify(&stranger).unwrap() {
             Err(closest) => {
                 if let Some((_, d)) = closest {
                     assert!(d >= store.threshold());
@@ -826,7 +845,7 @@ mod tests {
         assert_eq!(idx1, idx2, "index save/load/save must be byte-identical");
 
         // And the restored store still identifies.
-        let (label, _) = restored.identify(&es(&chip_bits(7))).unwrap();
+        let (label, _) = restored.identify(&es(&chip_bits(7))).unwrap().unwrap();
         assert_eq!(label, "chip-07");
     }
 
@@ -859,14 +878,14 @@ mod tests {
                 shards: 3,
                 ..StoreConfig::default()
             },
-            &db,
+            db,
         );
         assert!(store.degraded());
         assert_eq!(store.len(), 10);
 
         // Degraded identifies scan every entry and still answer correctly.
         let before = store.distance_evals();
-        let (label, _) = store.identify(&es(&chip_bits(4))).unwrap();
+        let (label, _) = store.identify(&es(&chip_bits(4))).unwrap().unwrap();
         assert_eq!(label, "chip-04");
         assert_eq!(
             store.distance_evals() - before,
@@ -882,7 +901,7 @@ mod tests {
         assert!(!store.degraded());
         for chip in [4u64, 10] {
             let before = store.distance_evals();
-            let (label, _) = store.identify(&es(&chip_bits(chip))).unwrap();
+            let (label, _) = store.identify(&es(&chip_bits(chip))).unwrap().unwrap();
             assert_eq!(label, format!("chip-{chip:02}"));
             assert!(
                 store.distance_evals() - before < 11,

@@ -18,6 +18,9 @@ use probable_cause::ErrorString;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+/// Held by every test that sends traffic through a router: fault probes
+/// (`ring.forward`) are process-wide, so an unserialized sibling would
+/// consume the probes another test armed.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 const SIZE: u64 = 32_768;
@@ -109,6 +112,7 @@ impl Drop for Armed {
 
 #[test]
 fn routed_reads_fanned_writes_and_ring_status() {
+    let _serial = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let replicas: Vec<_> = (0..3).map(|_| start_replica()).collect();
     let addrs: Vec<String> = replicas
         .iter()
@@ -158,6 +162,7 @@ fn routed_reads_fanned_writes_and_ring_status() {
 
 #[test]
 fn failover_keeps_reads_available_and_replay_heals_an_empty_restart() {
+    let _serial = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let mut replicas: Vec<Option<server::ServerHandle>> =
         (0..3).map(|_| Some(start_replica())).collect();
     let addrs: Vec<String> = replicas
@@ -252,6 +257,7 @@ fn failover_keeps_reads_available_and_replay_heals_an_empty_restart() {
 
 #[test]
 fn quorum_sheds_busy_when_below_two_replicas() {
+    let _serial = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let a = start_replica();
     let b = start_replica();
     let rt = router_over(
@@ -436,6 +442,7 @@ fn shed_write_is_retracted_not_replayed() {
 
 #[test]
 fn auto_checkpoint_bounds_journals_without_client_saves() {
+    let _serial = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let a = start_replica();
     let b = start_replica();
     let rt = router::start(RouterConfig {
