@@ -25,7 +25,7 @@ use std::sync::Arc;
 /// assert_eq!(db.identify(&stranger), None);
 /// # Ok::<(), probable_cause::BitStringError>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FingerprintDb<L, M = crate::PcDistance> {
     entries: Vec<(L, Fingerprint)>,
     /// Packed mirror of `entries` (same order), built on insert so every
@@ -86,20 +86,28 @@ impl<L, M: DistanceMetric> FingerprintDb<L, M> {
         self.entries.iter().map(|(l, f)| (l, f))
     }
 
-    /// Consumes the database, yielding `(label, fingerprint, packed)` in
-    /// insertion order. `packed` is the mirror built on insert, so a caller
-    /// taking ownership needs neither a copy nor a re-pack.
-    pub fn into_entries(self) -> impl Iterator<Item = (L, Fingerprint, PackedErrors)> {
-        self.entries
-            .into_iter()
-            .zip(self.packed)
-            .map(|((label, fp), packed)| (label, fp, packed))
-    }
-
     /// The entry with insertion-order id `id`, if it exists. Ids are the
     /// coordinates [`LshIndex`] candidates are expressed in.
     pub fn entry(&self, id: usize) -> Option<(&L, &Fingerprint)> {
         self.entries.get(id).map(|(l, f)| (l, f))
+    }
+
+    /// Refines entry `id` with one more observation (Algorithm 1's
+    /// intersection), keeping its packed mirror in step. `None` when there
+    /// is no such entry; an error leaves the entry unchanged.
+    pub fn refine(
+        &mut self,
+        id: usize,
+        observation: &ErrorString,
+    ) -> Option<Result<&Fingerprint, crate::BitStringError>> {
+        let (_, fp) = self.entries.get_mut(id)?;
+        let refined = match fp.refine(observation) {
+            Ok(refined) => refined,
+            Err(e) => return Some(Err(e)),
+        };
+        *self.packed.get_mut(id)? = refined.errors().to_packed();
+        *fp = refined;
+        Some(Ok(fp))
     }
 
     /// Builds an [`LshIndex`] over every stored fingerprint (entry id =
@@ -260,7 +268,7 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
         let results = pc_kernels::map_chunked(probes.len(), 1, par, |i| {
             // Each worker scores its probe single-threaded; parallelism
             // lives in the probe dimension.
-            self.best_of_ids(&all, &probes[i], Parallelism::single())
+            self.closest_among(&all, &probes[i], Parallelism::single())
                 .filter(|&(_, d)| d < self.threshold)
         });
         pc_telemetry::counter!("core.db.identify.comparisons")
@@ -278,10 +286,17 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
         error_string: &ErrorString,
     ) -> Option<(&L, f64)> {
         let ids: Vec<usize> = ids.collect();
-        self.best_of_ids(&ids, error_string, Parallelism::single())
+        self.closest_among(&ids, error_string, Parallelism::single())
     }
 
-    fn best_of_ids(
+    /// The lowest-distance entry among the entry ids `ids`, ties broken by
+    /// label order, regardless of threshold; `None` only when `ids` is
+    /// empty. The candidates are scored in one pass with `par` threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is not below [`FingerprintDb::len`].
+    pub fn closest_among(
         &self,
         ids: &[usize],
         error_string: &ErrorString,
@@ -363,6 +378,20 @@ mod tests {
                 "chip {chip}"
             );
         }
+    }
+
+    #[test]
+    fn refine_updates_entry_and_packed_mirror() {
+        let mut db = FingerprintDb::new(PcDistance::new(), 0.5);
+        db.insert("a", fp(&[1, 2, 3, 4]));
+        let refined = db.refine(0, &es(&[1, 2, 9])).unwrap().unwrap();
+        assert_eq!(refined.observations(), 2);
+        assert_eq!(refined.weight(), 2);
+        // Scoring reads the packed mirror: it must see the refined {1, 2}.
+        assert_eq!(db.distances(&es(&[1, 2])), vec![0.0]);
+        let other_size = ErrorString::from_sorted(vec![1], 64).unwrap();
+        assert!(db.refine(0, &other_size).unwrap().is_err());
+        assert!(db.refine(1, &es(&[1])).is_none());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! partial database.
 //!
 //! The companion index format ([`save_index`] / [`load_index`]) persists an
-//! [`LshIndex`]'s bucket layout so `pc-service` restarts recover their shard
+//! [`LshIndex`]'s bucket layout so `pc-service` restarts recover their
 //! routing without re-signing every fingerprint:
 //!
 //! ```text

@@ -46,7 +46,7 @@ const THRESHOLD: f64 = 0.3;
 
 /// The storm: combined per-request injection rate ≈ 14% (wire.read fires on
 /// the read preceding each request, wire.write on each response, pool.worker
-/// on each identify, store.score on each shard an identify scores),
+/// on each identify, store.score on each identify that has candidates),
 /// comfortably above the 10% floor the experiment promises.
 const SOAK_PLAN: &str =
     "seed=42;wire.read=p0.06;wire.write=p0.04;pool.worker=p0.02;store.score=p0.02";
@@ -204,7 +204,6 @@ pub fn run(out: &Path) -> io::Result<String> {
 
     let config = ServerConfig {
         store: StoreConfig {
-            shards: 4,
             threshold: THRESHOLD,
             ..StoreConfig::default()
         },

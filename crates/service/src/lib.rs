@@ -7,7 +7,7 @@
 //!
 //! - [`protocol`]: the JSON request/response vocabulary.
 //! - [`codec`]: 4-byte length-prefixed framing with an enforced frame cap.
-//! - [`store`]: the sharded fingerprint store, routed by the core
+//! - [`store`]: the fingerprint store, routed by the core
 //!   [`probable_cause::LshIndex`] so a query pays full modified-Jaccard
 //!   distance only against fingerprints it shares a MinHash band with.
 //! - [`pool`]: a bounded submission queue (explicit `busy` backpressure)

@@ -3,7 +3,7 @@
 //!
 //! Connection threads *submit* work and never touch the store. The
 //! dispatcher pops jobs in batches and answers each in admission order:
-//! identifies plan, score and merge inline through
+//! identifies plan, score and threshold inline through
 //! [`ShardedStore::identify`] (an LSH-routed identify scores about one
 //! candidate, and a full-scan-sized candidate set borrows the kernels'
 //! thread pool), and mutations (characterize, cluster-ingest, replay) run
@@ -102,7 +102,7 @@ pub enum Job {
         /// Request sequence number, echoed in the response.
         seq: u64,
         /// The output's error string.
-        errors: Arc<ErrorString>,
+        errors: ErrorString,
         /// Response channel.
         reply: Reply,
         /// The request's stage timer, if tracing is enabled.
@@ -551,7 +551,6 @@ mod tests {
 
     fn store_with_chips(n: u64) -> Arc<ShardedStore> {
         let store = ShardedStore::new(StoreConfig {
-            shards: 3,
             threshold: 0.3,
             ..StoreConfig::default()
         });
@@ -578,7 +577,7 @@ mod tests {
         queue
             .try_submit(Job::Identify {
                 seq: 1,
-                errors: Arc::new(es(&chip_bits(5))),
+                errors: es(&chip_bits(5)),
                 reply: tx.clone(),
                 trace: None,
             })
@@ -662,7 +661,7 @@ mod tests {
             queue
                 .try_submit(Job::Identify {
                     seq,
-                    errors: Arc::new(es(&chip_bits(seq % 4))),
+                    errors: es(&chip_bits(seq % 4)),
                     reply: tx.clone(),
                     trace: None,
                 })

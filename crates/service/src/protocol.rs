@@ -193,12 +193,10 @@ pub struct RingStatusBody {
 /// Server statistics reported by [`Response::Stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsBody {
-    /// Fingerprints stored across all shards.
+    /// Fingerprints stored.
     pub fingerprints: u64,
     /// Clusters formed by `cluster-ingest` so far.
     pub clusters: u64,
-    /// Number of shards.
-    pub shards: u64,
     /// Requests admitted to the submission queue since start.
     pub admitted: u64,
     /// Requests rejected with `busy` since start.
@@ -783,7 +781,6 @@ pub fn encode_response(seq: u64, response: &Response) -> JsonObject {
             obj.set("kind", "stats");
             obj.set("fingerprints", s.fingerprints);
             obj.set("clusters", s.clusters);
-            obj.set("shards", s.shards);
             obj.set("admitted", s.admitted);
             obj.set("rejected", s.rejected);
             obj.set("distance_evals", s.distance_evals);
@@ -928,7 +925,6 @@ pub fn decode_response(frame: &JsonValue) -> Result<(u64, Response), ProtocolErr
         "stats" => Response::Stats(StatsBody {
             fingerprints: get_u64(obj, "fingerprints")?,
             clusters: get_u64(obj, "clusters")?,
-            shards: get_u64(obj, "shards")?,
             admitted: get_u64(obj, "admitted")?,
             rejected: get_u64(obj, "rejected")?,
             distance_evals: get_u64(obj, "distance_evals")?,
@@ -1074,7 +1070,6 @@ mod tests {
             Response::Stats(StatsBody {
                 fingerprints: 1,
                 clusters: 2,
-                shards: 3,
                 admitted: 4,
                 rejected: 5,
                 distance_evals: 6,

@@ -145,7 +145,6 @@ impl Shared {
         StatsBody {
             fingerprints: self.store.len() as u64,
             clusters: self.store.cluster_count() as u64,
-            shards: self.store.num_shards() as u64,
             admitted: self.queue.admitted(),
             rejected: self.queue.rejected(),
             distance_evals: self.store.distance_evals(),
@@ -333,7 +332,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         let rebuild_store = Arc::clone(&store);
         thread::Builder::new()
             .name("pc-rebuild".to_string())
-            .spawn(move || rebuild_store.rebuild_index())?;
+            .spawn(move || rebuild_store.build_index())?;
     }
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
@@ -455,7 +454,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, pool: Pool) -> io::Re
     // If a background rebuild never finished, finish it now: the index file
     // written below must cover every entry.
     if shared.store.degraded() && shared.config.index_path.is_some() {
-        shared.store.rebuild_index();
+        shared.store.build_index();
     }
     shared.save()?;
     counter!("service.shutdown.drained").incr();
@@ -629,7 +628,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>, conn_id: u64) {
                 seq,
                 Job::Identify {
                     seq,
-                    errors: Arc::new(errors),
+                    errors,
                     reply: reply_tx.clone(),
                     trace,
                 },

@@ -1,18 +1,16 @@
-//! The server's sharded fingerprint store.
+//! The server's fingerprint store.
 //!
-//! Fingerprints live in `num_shards` shards; the entry with global id `g`
-//! sits in shard `g % num_shards` at slot `g / num_shards`, so ids are dense
-//! per shard and the global insertion order (the coordinate system of the
-//! core [`LshIndex`] and of [`probable_cause::persistence`]) is recoverable.
+//! Fingerprints live in one [`FingerprintDb`]; an entry's id is its
+//! insertion index, which is also the coordinate system of the core
+//! [`LshIndex`] and of [`probable_cause::persistence`].
 //!
-//! Shards are a data partition, not threads: [`ShardedStore::identify`]
-//! plans, scores each shard's candidates under that shard's read lock, and
-//! merges, all on the calling thread. Mutations (characterize,
-//! cluster-ingest) are serialized by the dispatcher thread (see
-//! [`crate::pool`]) and take the narrow write locks they need. The
-//! [`LshIndex`] routes every identify to the candidate ids that share a
-//! MinHash band with the query, so only those pay full modified-Jaccard
-//! distance.
+//! [`ShardedStore::identify`] plans, scores the candidates under the
+//! database's read lock, and applies the threshold, all on the calling
+//! thread. Mutations (characterize, cluster-ingest) are serialized by the
+//! dispatcher thread (see [`crate::pool`]) and take the write locks they
+//! need. The [`LshIndex`] routes every identify to the candidate ids that
+//! share a MinHash band with the query, so only those pay full
+//! modified-Jaccard distance.
 
 use parking_lot::{Mutex, RwLock};
 use pc_kernels::{distance_packed, MetricKind, PackedErrors, Parallelism};
@@ -27,11 +25,9 @@ use std::io::{BufRead, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Store geometry and matching parameters.
+/// Index geometry and matching parameters.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Number of shards the entries are partitioned into.
-    pub shards: usize,
     /// MinHash bands for the routing index.
     pub bands: usize,
     /// Rows per band.
@@ -47,7 +43,6 @@ impl Default for StoreConfig {
         // 16×4 banding: a same-chip pair at Jaccard similarity 0.9 is missed
         // with probability ~5e-8; unrelated chips essentially never collide.
         Self {
-            shards: 4,
             bands: 16,
             rows_per_band: 4,
             index_seed: 0x5eed,
@@ -61,17 +56,16 @@ impl Default for StoreConfig {
 /// `catch_unwind` net.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
-    /// A plan referenced a shard the store does not have.
+    /// A plan referenced a shard other than the store's one shard, 0.
     MissingShard {
         /// The out-of-range shard index.
         shard: usize,
     },
-    /// A plan referenced a slot its shard does not have.
-    MissingSlot {
-        /// The shard that was asked.
-        shard: usize,
-        /// The out-of-range slot.
-        slot: usize,
+    /// A plan or the label book referenced an entry id the database does
+    /// not have.
+    MissingEntry {
+        /// The out-of-range entry id.
+        id: usize,
     },
     /// A cluster id vanished between match and refine.
     MissingCluster {
@@ -88,8 +82,8 @@ impl std::fmt::Display for StoreError {
             StoreError::MissingShard { shard } => {
                 write!(f, "store shard {shard} does not exist")
             }
-            StoreError::MissingSlot { shard, slot } => {
-                write!(f, "store shard {shard} has no slot {slot}")
+            StoreError::MissingEntry { id } => {
+                write!(f, "store has no entry {id}")
             }
             StoreError::MissingCluster { cluster } => {
                 write!(f, "cluster {cluster} does not exist")
@@ -105,36 +99,25 @@ impl std::error::Error for StoreError {}
 /// `Err` with the closest candidate scored, if any.
 pub type Verdict = Result<(String, f64), Option<(String, f64)>>;
 
-/// Candidate-set size at which a shard scan borrows the kernel thread pool.
+/// Candidate-set size at which scoring borrows the kernel thread pool.
 /// Routine LSH-routed identifies shortlist about one candidate and score on
-/// the calling thread; degraded full scans of large shards cross it.
+/// the calling thread; degraded full scans of large stores cross it.
 const PARALLEL_SCORE_MIN: usize = 4_096;
 
-/// One shard's slice of the store, slot-addressed (`slot = id / num_shards`).
-#[derive(Debug, Default)]
-struct Shard {
-    entries: Vec<(String, Fingerprint)>,
-    /// Packed mirror of `entries` (same slots), kept in sync on insert and
-    /// refine so scoring takes the popcount kernels without re-packing.
-    packed: Vec<PackedErrors>,
-}
-
-/// The sharded, index-routed fingerprint store plus the online cluster book.
+/// The index-routed fingerprint store plus the online cluster book.
 #[derive(Debug)]
 pub struct ShardedStore {
     config: StoreConfig,
-    metric: PcDistance,
-    shards: Vec<RwLock<Shard>>,
+    /// Every stored fingerprint with its packed mirror; id = insertion index.
+    db: RwLock<FingerprintDb<String, PcDistance>>,
     index: RwLock<LshIndex>,
-    /// label → global id; also the allocator (`len` = next id).
+    /// label → entry id. Held across every mutation and the index build,
+    /// so it also orders them.
     labels: Mutex<BTreeMap<String, u32>>,
     /// Algorithm 4 state for `cluster-ingest`: each cluster's fingerprint
     /// with its packed mirror (rebuilt on refine).
     clusters: Mutex<Vec<(Fingerprint, PackedErrors)>>,
     distance_evals: AtomicU64,
-    /// Entry count mirrored outside the `labels` lock, so degraded-mode
-    /// identify planning never blocks behind a rebuild holding that lock.
-    entry_count: AtomicU64,
     /// Degraded mode: the routing index is absent or rebuilding; identifies
     /// fall back to a full linear scan and index writes are skipped.
     degraded: AtomicBool,
@@ -151,73 +134,50 @@ impl ShardedStore {
     ///
     /// # Panics
     ///
-    /// Panics if `config.shards` is zero, the banding is zero, or the
-    /// threshold is outside `(0, 1]`.
+    /// Panics if the banding is zero or the threshold is outside `(0, 1]`.
     pub fn new(config: StoreConfig) -> Self {
-        assert!(config.shards > 0, "store needs at least one shard");
-        assert!(
-            config.threshold > 0.0 && config.threshold <= 1.0,
-            "threshold must be in (0, 1], got {}",
-            config.threshold
-        );
-        let shards = (0..config.shards)
-            .map(|_| RwLock::new(Shard::default()))
-            .collect();
+        let db = FingerprintDb::new(PcDistance::new(), config.threshold);
         let index = LshIndex::new(config.bands, config.rows_per_band, config.index_seed);
-        Self {
-            config,
-            metric: PcDistance::new(),
-            shards,
-            index: RwLock::new(index),
-            labels: Mutex::new(BTreeMap::new()),
-            clusters: Mutex::new(Vec::new()),
-            distance_evals: AtomicU64::new(0),
-            entry_count: AtomicU64::new(0),
-            degraded: AtomicBool::new(false),
-            applied_wseq: AtomicU64::new(0),
-        }
+        Self::assemble(config, db, index, false)
     }
 
     /// Creates a store from `db` in degraded mode: entries load without
     /// index signing, identifies answer by linear scan, and a later
-    /// [`ShardedStore::rebuild_index`] (typically on a background thread)
+    /// [`ShardedStore::build_index`] (typically on a background thread)
     /// restores routed serving. This is the recovery path when the index
     /// file is damaged but the database survived.
-    pub fn from_db_degraded(config: StoreConfig, db: FingerprintDb<String, PcDistance>) -> Self {
-        Self::from_loaded(config, db, None)
-    }
-
-    /// Moves `db`'s entries into a new store (global id = the database's
-    /// insertion order) without MinHash-signing any of them: `index` becomes
-    /// the routing index, or the store starts degraded when there is none.
-    fn from_loaded(
+    pub fn from_db_degraded(
         mut config: StoreConfig,
         db: FingerprintDb<String, PcDistance>,
-        index: Option<LshIndex>,
     ) -> Self {
         config.threshold = db.threshold();
-        if let Some(index) = &index {
-            config.bands = index.bands();
-            config.rows_per_band = index.rows_per_band();
-            config.index_seed = index.seed();
+        let index = LshIndex::new(config.bands, config.rows_per_band, config.index_seed);
+        Self::assemble(config, db, index, true)
+    }
+
+    /// Wraps `db` (entry id = insertion order) and `index` into a store,
+    /// building the label book; when a label repeats, its first entry owns
+    /// it.
+    fn assemble(
+        config: StoreConfig,
+        db: FingerprintDb<String, PcDistance>,
+        index: LshIndex,
+        degraded: bool,
+    ) -> Self {
+        let mut labels = BTreeMap::new();
+        for (id, (label, _)) in db.iter().enumerate() {
+            labels.entry(label.clone()).or_insert(id as u32);
         }
-        let store = Self::new(config);
-        // Degraded while loading, so inserts skip index writes.
-        store.degraded.store(true, Ordering::Release);
-        {
-            let mut labels = store.labels.lock();
-            for (label, fp, packed) in db.into_entries() {
-                store.insert_locked(&mut labels, label, fp, packed);
-            }
+        Self {
+            config,
+            db: RwLock::new(db),
+            index: RwLock::new(index),
+            labels: Mutex::new(labels),
+            clusters: Mutex::new(Vec::new()),
+            distance_evals: AtomicU64::new(0),
+            degraded: AtomicBool::new(degraded),
+            applied_wseq: AtomicU64::new(0),
         }
-        if let Some(index) = index {
-            // Adopt the persisted bucket layout verbatim so a save
-            // round-trips byte-identically even if insertion order would
-            // lay buckets out differently.
-            *store.index.write() = index;
-            store.degraded.store(false, Ordering::Release);
-        }
-        store
     }
 
     /// The store's configuration.
@@ -230,15 +190,9 @@ impl ShardedStore {
         self.config.threshold
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.config.shards
-    }
-
-    /// Fingerprints stored across all shards. Lock-free, so stats stay
-    /// responsive while an index rebuild holds the label book.
+    /// Fingerprints stored.
     pub fn len(&self) -> usize {
-        self.entry_count.load(Ordering::Acquire) as usize
+        self.db.read().len()
     }
 
     /// Whether identifies are serving by linear scan while the routing
@@ -262,84 +216,58 @@ impl ShardedStore {
         self.distance_evals.load(Ordering::Relaxed)
     }
 
-    fn shard_of(&self, id: u32) -> usize {
-        id as usize % self.config.shards
-    }
-
-    fn slot_of(&self, id: u32) -> usize {
-        id as usize / self.config.shards
-    }
-
-    /// The shard lock owning `id`.
-    fn shard_for(&self, id: u32) -> &RwLock<Shard> {
-        // pc-allow: P004 — shard_of is `id % shards`, always in range
-        &self.shards[self.shard_of(id)]
-    }
-
     /// The packed-kernel form of the metric. [`PcDistance`] always has one;
     /// the fallback only exists to keep this path panic-free.
     fn kind(&self) -> MetricKind {
-        self.metric.kind().unwrap_or(MetricKind::PcJaccard)
+        PcDistance::new().kind().unwrap_or(MetricKind::PcJaccard)
     }
 
-    /// Inserts a brand-new labelled fingerprint with its packed form,
-    /// allocating its global id. The caller holds the label book and must
-    /// have verified the label is unused.
-    fn insert_locked(
-        &self,
-        labels: &mut BTreeMap<String, u32>,
-        label: String,
-        fp: Fingerprint,
-        packed: PackedErrors,
-    ) {
+    /// Inserts a brand-new labelled fingerprint under the next entry id.
+    /// The caller holds the label book and must have verified the label is
+    /// unused.
+    fn insert_locked(&self, labels: &mut BTreeMap<String, u32>, label: String, fp: Fingerprint) {
         debug_assert!(!labels.contains_key(&label));
-        let id = labels.len() as u32;
-        let mut shard = self.shard_for(id).write();
-        debug_assert_eq!(shard.entries.len(), self.slot_of(id));
+        let mut db = self.db.write();
+        let id = db.len() as u32;
         if !self.degraded.load(Ordering::Acquire) {
             self.index.write().insert(id, fp.errors());
         }
-        shard.packed.push(packed);
-        shard.entries.push((label.clone(), fp));
+        db.insert(label.clone(), fp);
         labels.insert(label, id);
-        // Published only after the shard slot exists, so a degraded linear
-        // scan never plans an id whose entry is not yet in place.
-        self.entry_count
-            .store(labels.len() as u64, Ordering::Release);
     }
 
-    /// The LSH candidate ids for `errors`, grouped by shard:
-    /// `plan[s]` holds the candidate ids living in shard `s` (possibly
-    /// empty). Also returns the total candidate count.
-    pub fn plan_identify(&self, errors: &ErrorString) -> (Vec<Vec<u32>>, usize) {
+    /// The entry ids an identify of `errors` scores: the LSH candidates,
+    /// or every id while degraded.
+    fn candidates(&self, errors: &ErrorString) -> Vec<u32> {
         let candidates = if self.degraded.load(Ordering::Acquire) {
             // Degraded mode: the index is absent or rebuilding, so score
             // everything — slower, never wrong (LSH only ever prunes).
             counter!("service.store.degraded_scans").incr();
-            (0..self.entry_count.load(Ordering::Acquire) as u32).collect()
+            (0..self.len() as u32).collect()
         } else {
             self.index.read().candidates(errors)
         };
-        let total = candidates.len();
-        let mut plan = vec![Vec::new(); self.config.shards];
-        for id in candidates {
-            if let Some(bucket) = plan.get_mut(self.shard_of(id)) {
-                bucket.push(id);
-            }
-        }
-        counter!("service.store.candidates").add(total as u64);
-        (plan, total)
+        counter!("service.store.candidates").add(candidates.len() as u64);
+        candidates
     }
 
-    /// Scores `ids` (all living in `shard`) against `errors`, returning the
-    /// shard-local best as `(label, distance)` — lowest distance, ties by
-    /// label order, matching [`FingerprintDb::identify`]'s determinism.
+    /// The LSH candidate ids for `errors` as a one-bucket plan for shard 0
+    /// (see [`ShardedStore::score_shard`]), with the candidate count.
+    pub fn plan_identify(&self, errors: &ErrorString) -> (Vec<Vec<u32>>, usize) {
+        let candidates = self.candidates(errors);
+        let total = candidates.len();
+        (vec![candidates], total)
+    }
+
+    /// Scores the entry ids `ids` against `errors` in one pass, returning
+    /// the best as `(label, distance)` — lowest distance, ties by label
+    /// order ([`FingerprintDb::closest_among`]). `shard` must be 0, the
+    /// store's one shard.
     ///
     /// # Errors
     ///
-    /// [`StoreError`] when the plan references a shard or slot the store
-    /// does not have (geometry drift — a bug, but one that must answer an
-    /// `Error` frame rather than panic a worker).
+    /// [`StoreError`] when `shard` is not 0 or an id has no entry (a bug,
+    /// but one that must answer an `Error` frame rather than panic).
     pub fn score_shard(
         &self,
         shard: usize,
@@ -351,83 +279,57 @@ impl ShardedStore {
             // pc-allow: P003 — deliberate fault-injection site; the dispatcher answers it under catch_unwind
             panic!("injected fault at store.score");
         }
-        let Some(lock) = self.shards.get(shard) else {
+        if shard != 0 {
             return Err(StoreError::MissingShard { shard });
-        };
-        let guard = lock.read();
-        let slots: Vec<usize> = ids.iter().map(|&id| self.slot_of(id)).collect();
-        if let Some(&slot) = slots.iter().find(|&&s| s >= guard.packed.len()) {
-            return Err(StoreError::MissingSlot { shard, slot });
         }
-        let kind = self.kind();
+        let db = self.db.read();
+        let ids: Vec<usize> = ids.iter().map(|&id| id as usize).collect();
+        if let Some(&id) = ids.iter().find(|&&id| id >= db.len()) {
+            return Err(StoreError::MissingEntry { id });
+        }
         // Small candidate sets score single-threaded on the packed kernels.
         // Full-scan-sized sets (index degraded or rebuilding) borrow the
-        // persistent kernel pool instead of scanning a whole shard on one
-        // thread.
-        let par = if slots.len() >= PARALLEL_SCORE_MIN {
+        // persistent kernel pool instead of scanning on one thread.
+        let par = if ids.len() >= PARALLEL_SCORE_MIN {
             Parallelism::auto()
         } else {
             Parallelism::single()
         };
-        let distances =
-            pc_kernels::score_subset(&guard.packed, &slots, &errors.to_packed(), kind, par);
-        add_comparisons(kind, slots.len() as u64);
-        let mut best: Option<(&str, f64)> = None;
-        for (&slot, &d) in slots.iter().zip(&distances) {
-            let Some(entry) = guard.entries.get(slot) else {
-                return Err(StoreError::MissingSlot { shard, slot });
-            };
-            let label = entry.0.as_str();
-            let better = match best {
-                None => true,
-                Some((bl, bd)) => d < bd || (d == bd && label < bl),
-            };
-            if better {
-                best = Some((label, d));
-            }
-        }
+        let best = db
+            .closest_among(&ids, errors, par)
+            .map(|(label, d)| (label.clone(), d));
         self.distance_evals
             .fetch_add(ids.len() as u64, Ordering::Relaxed);
         counter!("service.store.distance_evals").add(ids.len() as u64);
-        Ok(best.map(|(l, d)| (l.to_string(), d)))
+        Ok(best)
     }
 
-    /// Merges per-shard bests into the final verdict: `Ok((label, distance))`
-    /// when the global best clears the threshold, `Err(closest)` otherwise
-    /// (with the closest candidate scored, if any).
-    pub fn merge_verdict(&self, partials: impl IntoIterator<Item = (String, f64)>) -> Verdict {
-        let mut best: Option<(String, f64)> = None;
-        for (label, d) in partials {
-            let better = match &best {
-                None => true,
-                Some((bl, bd)) => d < *bd || (d == *bd && label < *bl),
-            };
-            if better {
-                best = Some((label, d));
-            }
-        }
-        match best {
+    /// Applies the threshold to [`ShardedStore::score_shard`]'s best:
+    /// `Ok((label, distance))` when it clears the threshold, `Err(closest)`
+    /// otherwise. Only the first item of `best` is read; the store has one
+    /// shard, so there is at most one.
+    pub fn merge_verdict(&self, best: impl IntoIterator<Item = (String, f64)>) -> Verdict {
+        match best.into_iter().next() {
             Some((label, d)) if d < self.config.threshold => Ok((label, d)),
             other => Err(other),
         }
     }
 
-    /// Identify (Algorithm 2 over the LSH shortlist): plans, scores every
-    /// shard holding candidates, and merges. This is the one identify path;
-    /// the server's dispatcher answers identifies through it.
+    /// Identify (Algorithm 2 over the LSH shortlist): plans, scores the
+    /// candidates, and applies the threshold. This is the one identify
+    /// path; the server's dispatcher answers identifies through it.
     ///
     /// # Errors
     ///
-    /// The first [`StoreError`] any shard's scoring reports.
+    /// The [`StoreError`] scoring reports.
     pub fn identify(&self, errors: &ErrorString) -> Result<Verdict, StoreError> {
-        let (plan, _) = self.plan_identify(errors);
-        let mut partials = Vec::new();
-        for (shard, ids) in plan.iter().enumerate() {
-            if !ids.is_empty() {
-                partials.extend(self.score_shard(shard, ids, errors)?);
-            }
-        }
-        Ok(self.merge_verdict(partials))
+        let candidates = self.candidates(errors);
+        let best = if candidates.is_empty() {
+            None
+        } else {
+            self.score_shard(0, &candidates, errors)?
+        };
+        Ok(self.merge_verdict(best))
     }
 
     /// Incremental Algorithm 1: refines the labelled fingerprint with one
@@ -444,62 +346,41 @@ impl ShardedStore {
         errors: &ErrorString,
     ) -> Result<(u64, u32, bool), StoreError> {
         // The label book is held across the whole mutation so no refine can
-        // interleave with an index rebuild (which also holds it): every
-        // mutation lands either fully before or fully after the rebuild's
+        // interleave with an index build (which also holds it): every
+        // mutation lands either fully before or fully after the build's
         // snapshot.
         let mut labels = self.labels.lock();
         let Some(id) = labels.get(label).copied() else {
             let fp = Fingerprint::from_observation(errors.clone());
             let (weight, observations) = (fp.weight(), fp.observations());
-            self.insert_locked(&mut labels, label.to_string(), fp, errors.to_packed());
+            self.insert_locked(&mut labels, label.to_string(), fp);
             counter!("service.store.characterize.created").incr();
             return Ok((weight, observations, true));
         };
-        let mut shard = self.shard_for(id).write();
-        let slot = self.slot_of(id);
-        let refined = match shard.entries.get(slot) {
-            Some(entry) => entry
-                .1
-                .refine(errors)
-                .map_err(|e| StoreError::Refine(format!("cannot refine {label:?}: {e}")))?,
-            None => {
-                return Err(StoreError::MissingSlot {
-                    shard: self.shard_of(id),
-                    slot,
-                })
-            }
+        let mut db = self.db.write();
+        let Some(refined) = db.refine(id as usize, errors) else {
+            return Err(StoreError::MissingEntry { id: id as usize });
         };
+        let refined =
+            refined.map_err(|e| StoreError::Refine(format!("cannot refine {label:?}: {e}")))?;
         if !self.degraded.load(Ordering::Acquire) {
             self.index.write().insert(id, refined.errors());
         }
-        let (weight, observations) = (refined.weight(), refined.observations());
-        if let Some(p) = shard.packed.get_mut(slot) {
-            *p = refined.errors().to_packed();
-        }
-        if let Some(entry) = shard.entries.get_mut(slot) {
-            entry.1 = refined;
-        }
         counter!("service.store.characterize.refined").incr();
-        Ok((weight, observations, false))
+        Ok((refined.weight(), refined.observations(), false))
     }
 
-    /// Rebuilds the routing index from the shard contents, then leaves
-    /// degraded mode. Holds the label book for the duration, so mutations
-    /// queue behind the rebuild while identifies keep serving linear scans.
-    pub fn rebuild_index(&self) {
+    /// Builds the routing index from the database, then leaves degraded
+    /// mode. Holds the label book for the duration, so mutations queue
+    /// behind the build while identifies keep serving linear scans.
+    pub fn build_index(&self) {
         let _span = pc_telemetry::time!("service.store.rebuild_index");
         let labels = self.labels.lock();
-        let mut index = LshIndex::new(
+        let index = self.db.read().build_index(
             self.config.bands,
             self.config.rows_per_band,
             self.config.index_seed,
         );
-        for id in 0..labels.len() as u32 {
-            let guard = self.shard_for(id).read();
-            if let Some(entry) = guard.entries.get(self.slot_of(id)) {
-                index.insert(id, entry.1.errors());
-            }
-        }
         *self.index.write() = index;
         self.degraded.store(false, Ordering::Release);
         counter!("service.store.index_rebuilt").incr();
@@ -607,28 +488,12 @@ impl ShardedStore {
         (applied, skipped)
     }
 
-    /// Reconstructs the flat database in global-id order (the persistence
-    /// format's coordinate system).
+    /// A snapshot of the database, taken under its read lock.
     pub fn to_db(&self) -> FingerprintDb<String, PcDistance> {
-        let labels = self.labels.lock();
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let mut db = FingerprintDb::new(PcDistance::new(), self.config.threshold);
-        for id in 0..labels.len() as u32 {
-            // Geometry cannot drift between the label book and the shards
-            // (both are written under the book's lock), but persistence must
-            // stay panic-free regardless.
-            let Some((label, fp)) = guards
-                .get(self.shard_of(id))
-                .and_then(|g| g.entries.get(self.slot_of(id)))
-            else {
-                continue;
-            };
-            db.insert(label.clone(), fp.clone());
-        }
-        db
+        self.db.read().clone()
     }
 
-    /// Writes the database (global-id order) to `w`.
+    /// Writes the database (entry-id order) to `w`.
     ///
     /// # Errors
     ///
@@ -690,7 +555,8 @@ impl ShardedStore {
     }
 
     /// Builds a store from an already-loaded database and routing index,
-    /// moving the database's fingerprints in.
+    /// adopting both as they are: the persisted bucket layout is kept
+    /// verbatim, so a save round-trips byte-identically.
     ///
     /// # Errors
     ///
@@ -698,12 +564,16 @@ impl ShardedStore {
     /// entries. The server checks first, while it still owns the database,
     /// so a mismatch can fall back to [`ShardedStore::from_db_degraded`].
     pub fn from_db_with_index(
-        config: StoreConfig,
+        mut config: StoreConfig,
         db: FingerprintDb<String, PcDistance>,
         index: LshIndex,
     ) -> Result<Self, DbIoError> {
         Self::check_index(&db, &index)?;
-        Ok(Self::from_loaded(config, db, Some(index)))
+        config.threshold = db.threshold();
+        config.bands = index.bands();
+        config.rows_per_band = index.rows_per_band();
+        config.index_seed = index.seed();
+        Ok(Self::assemble(config, db, index, false))
     }
 
     /// Checks that `index` covers exactly `db`'s entries.
@@ -741,9 +611,8 @@ mod tests {
         (0..40).map(|i| chip * 40 + i).collect()
     }
 
-    fn populated(shards: usize) -> ShardedStore {
+    fn populated() -> ShardedStore {
         let store = ShardedStore::new(StoreConfig {
-            shards,
             threshold: 0.3,
             ..StoreConfig::default()
         });
@@ -757,7 +626,7 @@ mod tests {
 
     #[test]
     fn identify_matches_flat_db_reference() {
-        let store = populated(3);
+        let store = populated();
         let db = store.to_db();
         for chip in 0..10u64 {
             let mut bits = chip_bits(chip);
@@ -773,7 +642,7 @@ mod tests {
 
     #[test]
     fn characterize_refines_and_reroutes() {
-        let store = populated(2);
+        let store = populated();
         let (w1, o1, created) = store
             .characterize("chip-00", &es(&chip_bits(0)[..30]))
             .unwrap();
@@ -787,7 +656,7 @@ mod tests {
 
     #[test]
     fn characterize_size_mismatch_is_an_error() {
-        let store = populated(2);
+        let store = populated();
         let wrong = ErrorString::from_sorted(vec![1, 2], 64).unwrap();
         assert!(store.characterize("chip-00", &wrong).is_err());
         // A fresh label with an unusual size is fine: sizes are per-label.
@@ -813,7 +682,7 @@ mod tests {
 
     #[test]
     fn unknown_probe_reports_closest_or_nothing() {
-        let store = populated(2);
+        let store = populated();
         // Far from everything and sharing no band: no candidates at all.
         let stranger = es(&[2000, 2100, 2200, 2300]);
         match store.identify(&stranger).unwrap() {
@@ -828,7 +697,7 @@ mod tests {
 
     #[test]
     fn persistence_roundtrip_is_byte_identical() {
-        let store = populated(3);
+        let store = populated();
         let (mut db1, mut idx1) = (Vec::new(), Vec::new());
         store.save_db(&mut db1).unwrap();
         store.save_index(&mut idx1).unwrap();
@@ -851,7 +720,7 @@ mod tests {
 
     #[test]
     fn from_persisted_rejects_mismatched_pair() {
-        let store = populated(2);
+        let store = populated();
         let (mut db, mut idx) = (Vec::new(), Vec::new());
         store.save_db(&mut db).unwrap();
         store.save_index(&mut idx).unwrap();
@@ -872,14 +741,8 @@ mod tests {
 
     #[test]
     fn degraded_store_scans_linearly_and_rebuild_restores_routing() {
-        let db = populated(3).to_db();
-        let store = ShardedStore::from_db_degraded(
-            StoreConfig {
-                shards: 3,
-                ..StoreConfig::default()
-            },
-            db,
-        );
+        let db = populated().to_db();
+        let store = ShardedStore::from_db_degraded(StoreConfig::default(), db);
         assert!(store.degraded());
         assert_eq!(store.len(), 10);
 
@@ -893,11 +756,11 @@ mod tests {
             "degraded identify must score the whole store"
         );
 
-        // Mutations while degraded land in the shards (index writes skipped).
+        // Mutations while degraded land in the database (index writes skipped).
         store.characterize("chip-10", &es(&chip_bits(10))).unwrap();
 
         // The rebuild restores routed serving, covering the new entry too.
-        store.rebuild_index();
+        store.build_index();
         assert!(!store.degraded());
         for chip in [4u64, 10] {
             let before = store.distance_evals();
@@ -912,7 +775,7 @@ mod tests {
 
     #[test]
     fn distance_evals_counts_scored_candidates() {
-        let store = populated(2);
+        let store = populated();
         let before = store.distance_evals();
         let _ = store.identify(&es(&chip_bits(3)));
         let evals = store.distance_evals() - before;
@@ -921,5 +784,42 @@ mod tests {
             evals < 10,
             "LSH routing should prune most of the 10 chips, scored {evals}"
         );
+    }
+
+    #[test]
+    fn full_scan_past_parallel_min_matches_flat_db() {
+        // Four disjoint bits per chip, so a chip's own probe is its unique
+        // nearest entry.
+        let n = PARALLEL_SCORE_MIN + 1;
+        let wide = |bits: Vec<u64>| ErrorString::from_sorted(bits, 1 << 16).unwrap();
+        let mut db = FingerprintDb::new(PcDistance::new(), 0.3);
+        for chip in 0..n as u64 {
+            let fp = Fingerprint::from_observation(wide((0..4).map(|i| chip * 4 + i).collect()));
+            db.insert(format!("chip-{chip:05}"), fp);
+        }
+        let store = ShardedStore::from_db_degraded(StoreConfig::default(), db.clone());
+        assert!(store.degraded());
+
+        let hit = wide(vec![400, 401, 402, 403, 60_000]);
+        let miss = wide(vec![400, 60_001, 60_002, 60_003]);
+        for probe in [&hit, &miss] {
+            let before = store.distance_evals();
+            let got = store.identify(probe).unwrap().ok();
+            let want = db
+                .identify_with_distance(probe)
+                .map(|(l, d)| (l.clone(), d));
+            assert_eq!(got, want);
+            assert_eq!(store.distance_evals() - before, n as u64);
+        }
+        assert_eq!(
+            store
+                .identify(&hit)
+                .unwrap()
+                .ok()
+                .map(|(l, _)| l)
+                .as_deref(),
+            Some("chip-00100")
+        );
+        assert!(store.identify(&miss).unwrap().is_err());
     }
 }

@@ -22,7 +22,6 @@ fn chip(c: u64) -> ErrorString {
 #[test]
 fn worker_fault_fails_one_identify_and_the_batch_survives_the_restart() {
     let store = ShardedStore::new(StoreConfig {
-        shards: 3,
         threshold: 0.3,
         ..StoreConfig::default()
     });
@@ -37,7 +36,7 @@ fn worker_fault_fails_one_identify_and_the_batch_survives_the_restart() {
     for seq in 0..JOBS {
         let job = Job::Identify {
             seq,
-            errors: Arc::new(chip(seq % CHIPS)),
+            errors: chip(seq % CHIPS),
             reply: tx.clone(),
             trace: None,
         };

@@ -32,7 +32,6 @@ fn chip_bits(c: u64) -> Vec<u64> {
 fn test_config() -> ServerConfig {
     ServerConfig {
         store: StoreConfig {
-            shards: 3,
             threshold: 0.3,
             ..StoreConfig::default()
         },
