@@ -1,9 +1,7 @@
 //! Algorithms 1 and 4: characterization and clustering.
 //! (Algorithm 2, identification, lives on [`crate::FingerprintDb`].)
 
-use crate::batch::add_comparisons;
-use crate::{DistanceMetric, ErrorString, Fingerprint};
-use pc_kernels::{distance_packed, MetricKind, PackedErrors};
+use crate::{DistanceMetric, ErrorString, Fingerprint, FingerprintDb};
 use std::fmt;
 
 /// Error from [`characterize`].
@@ -99,9 +97,11 @@ impl Clustering {
 }
 
 /// **Algorithm 4** — clustering: each output's error string is compared to
-/// the existing cluster fingerprints; a match (distance below `threshold`)
-/// refines that cluster's fingerprint by intersection, otherwise the output
-/// seeds a new cluster.
+/// the existing cluster fingerprints in creation order; the first within
+/// `threshold` ([`FingerprintDb::first_within`]) is refined by intersection,
+/// otherwise the output seeds a new cluster. The cluster book is a
+/// [`FingerprintDb`], so clusters are stored packed and scored on the
+/// packed kernels whenever the metric has a packed form.
 ///
 /// Note: the paper's pseudocode augments `fingerprintDB[i]` on line 7; the
 /// surrounding text makes clear the *matched cluster* `fingerprintDB[j]` is
@@ -109,8 +109,9 @@ impl Clustering {
 ///
 /// # Panics
 ///
-/// Panics if observations have mismatched sizes (they come from one pipeline
-/// in practice; the mismatch is a programming error).
+/// Panics unless `threshold` is in `(0, 1]` (the [`FingerprintDb::new`]
+/// precondition), and if observations have mismatched sizes (they come from
+/// one pipeline in practice; the mismatch is a programming error).
 ///
 /// # Example
 ///
@@ -132,90 +133,27 @@ pub fn cluster<M: DistanceMetric + ?Sized>(
     threshold: f64,
 ) -> Clustering {
     let _span = pc_telemetry::time!("core.cluster");
-    match metric.kind() {
-        Some(kind) => cluster_packed(observations, kind, threshold),
-        None => cluster_scalar(observations, metric, threshold),
-    }
-}
-
-/// Algorithm 4 over packed error strings: each observation is packed once,
-/// cluster fingerprints keep a packed mirror that is rebuilt only on refine,
-/// and metric telemetry is batched to one update per observation. Distances
-/// are bit-for-bit those of [`cluster_scalar`], so the first-match walk
-/// takes identical branches.
-fn cluster_packed(observations: &[ErrorString], kind: MetricKind, threshold: f64) -> Clustering {
-    let mut clusters: Vec<Fingerprint> = Vec::new();
-    let mut packed: Vec<PackedErrors> = Vec::new();
+    let mut book = FingerprintDb::new(metric, threshold);
     let mut assignments = Vec::with_capacity(observations.len());
     for obs in observations {
-        let obs_packed = obs.to_packed();
-        let mut assigned = None;
-        let mut compared = 0u64;
-        for (j, fp) in packed.iter().enumerate() {
-            compared += 1;
-            if distance_packed(fp, &obs_packed, kind) < threshold {
-                assigned = Some(j);
-                break;
-            }
-        }
-        add_comparisons(kind, compared);
-        let id = match assigned {
+        let id = match book.first_within(obs) {
             Some(j) => {
-                clusters[j] = clusters[j]
-                    .refine(obs)
+                book.refine(j, obs)
+                    .expect("first_within returns a stored id")
                     .expect("clustered observations must share a size");
-                packed[j] = clusters[j].errors().to_packed();
                 pc_telemetry::counter!("core.cluster.refined").incr();
                 j
             }
             None => {
-                clusters.push(Fingerprint::from_observation(obs.clone()));
-                packed.push(obs_packed);
+                book.insert((), Fingerprint::from_observation(obs.clone()));
                 pc_telemetry::counter!("core.cluster.seeded").incr();
-                clusters.len() - 1
+                book.len() - 1
             }
         };
         assignments.push(id);
     }
     Clustering {
-        clusters,
-        assignments,
-    }
-}
-
-/// Algorithm 4 via per-pair [`DistanceMetric::distance`] calls — the path
-/// for custom metrics with no packed form.
-fn cluster_scalar<M: DistanceMetric + ?Sized>(
-    observations: &[ErrorString],
-    metric: &M,
-    threshold: f64,
-) -> Clustering {
-    let mut clusters: Vec<Fingerprint> = Vec::new();
-    let mut assignments = Vec::with_capacity(observations.len());
-    for obs in observations {
-        let mut assigned = None;
-        for (j, fp) in clusters.iter_mut().enumerate() {
-            if metric.distance(fp.errors(), obs) < threshold {
-                *fp = fp
-                    .refine(obs)
-                    .expect("clustered observations must share a size");
-                assigned = Some(j);
-                break;
-            }
-        }
-        let id = assigned.unwrap_or_else(|| {
-            clusters.push(Fingerprint::from_observation(obs.clone()));
-            clusters.len() - 1
-        });
-        if assigned.is_some() {
-            pc_telemetry::counter!("core.cluster.refined").incr();
-        } else {
-            pc_telemetry::counter!("core.cluster.seeded").incr();
-        }
-        assignments.push(id);
-    }
-    Clustering {
-        clusters,
+        clusters: book.iter().map(|(_, fp)| fp).collect(),
         assignments,
     }
 }

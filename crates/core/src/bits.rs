@@ -44,7 +44,9 @@ impl std::error::Error for BitStringError {}
 /// `approx XOR exact` is 1, over a declared bit-string size.
 ///
 /// Error densities are ~1–10%, so the representation is sparse (sorted
-/// positions); set operations are linear merges. The declared size makes
+/// positions); set operations are linear merges. This is the form on the
+/// wire, on disk and in the algorithms; stored fingerprints keep only the
+/// packed form ([`ErrorString::to_packed`]). The declared size makes
 /// normalized metrics (Hamming distance per bit, densities) well-defined and
 /// catches cross-device comparisons of different-sized strings at the
 /// boundary.
@@ -285,6 +287,12 @@ impl ErrorString {
     /// the [`pc_kernels`] scoring kernels operate on.
     pub fn to_packed(&self) -> pc_kernels::PackedErrors {
         pc_kernels::PackedErrors::from_positions(&self.bits, self.size)
+    }
+
+    /// Unpacks a packed string back into sorted positions — the inverse of
+    /// [`ErrorString::to_packed`].
+    pub fn from_packed(packed: &pc_kernels::PackedErrors) -> Self {
+        Self::from_sorted_unchecked(packed.positions(), packed.size())
     }
 
     /// Returns a copy restricted to positions in `[lo, hi)`, rebased to start

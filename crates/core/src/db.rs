@@ -1,4 +1,12 @@
 //! The fingerprint database and Algorithm 2 (identification).
+//!
+//! [`FingerprintDb`] is the one holder of stored fingerprints, in the core
+//! crate and in the serving store alike. Each entry is kept once, in the
+//! packed form the scoring kernels read ([`PackedErrors`]), beside its label
+//! and observation count. Sparse positions ([`ErrorString`]) are derived
+//! only where something needs them: [`FingerprintDb::entry`] and
+//! [`FingerprintDb::iter`], [`FingerprintDb::refine`], the index build,
+//! persistence, and scoring under a custom metric with no packed form.
 
 use crate::batch::{add_comparisons, Parallelism};
 use crate::{DistanceMetric, ErrorString, Fingerprint, LshIndex};
@@ -7,7 +15,8 @@ use pc_kernels::PackedErrors;
 use std::sync::Arc;
 
 /// A database of labelled device fingerprints with threshold identification —
-/// **Algorithm 2**.
+/// **Algorithm 2** — and the first-match step of **Algorithm 4**
+/// ([`FingerprintDb::first_within`]).
 ///
 /// Labels are generic: chip serials, user handles, machine names.
 ///
@@ -27,10 +36,11 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FingerprintDb<L, M = crate::PcDistance> {
-    entries: Vec<(L, Fingerprint)>,
-    /// Packed mirror of `entries` (same order), built on insert so every
-    /// lookup can take the popcount kernels without re-packing.
+    /// Columns indexed by entry id (insertion order): each fingerprint is
+    /// kept once, packed, beside its label and observation count.
+    labels: Vec<L>,
     packed: Vec<PackedErrors>,
+    observations: Vec<u32>,
     metric: M,
     threshold: f64,
 }
@@ -48,8 +58,9 @@ impl<L, M: DistanceMetric> FingerprintDb<L, M> {
             "threshold must be in (0, 1], got {threshold}"
         );
         Self {
-            entries: Vec::new(),
+            labels: Vec::new(),
             packed: Vec::new(),
+            observations: Vec::new(),
             metric,
             threshold,
         }
@@ -67,80 +78,83 @@ impl<L, M: DistanceMetric> FingerprintDb<L, M> {
 
     /// Number of fingerprints stored.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.labels.len()
     }
 
     /// Whether the database is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.labels.is_empty()
     }
 
-    /// Adds a labelled fingerprint.
+    /// Adds a labelled fingerprint (stored packed).
     pub fn insert(&mut self, label: L, fingerprint: Fingerprint) {
         self.packed.push(fingerprint.errors().to_packed());
-        self.entries.push((label, fingerprint));
+        self.observations.push(fingerprint.observations());
+        self.labels.push(label);
     }
 
-    /// Iterates over `(label, fingerprint)` entries in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&L, &Fingerprint)> {
-        self.entries.iter().map(|(l, f)| (l, f))
+    /// The labels in insertion order, without unpacking any fingerprint.
+    pub fn labels(&self) -> impl Iterator<Item = &L> {
+        self.labels.iter()
     }
 
-    /// The entry with insertion-order id `id`, if it exists. Ids are the
-    /// coordinates [`LshIndex`] candidates are expressed in.
-    pub fn entry(&self, id: usize) -> Option<(&L, &Fingerprint)> {
-        self.entries.get(id).map(|(l, f)| (l, f))
+    /// Iterates over `(label, fingerprint)` entries in insertion order,
+    /// unpacking each fingerprint.
+    pub fn iter(&self) -> impl Iterator<Item = (&L, Fingerprint)> {
+        (0..self.len()).map(|id| (&self.labels[id], self.fingerprint(id)))
+    }
+
+    /// The entry with insertion-order id `id`, if it exists, its fingerprint
+    /// unpacked. Ids are the coordinates [`LshIndex`] candidates are
+    /// expressed in.
+    pub fn entry(&self, id: usize) -> Option<(&L, Fingerprint)> {
+        (id < self.len()).then(|| (&self.labels[id], self.fingerprint(id)))
     }
 
     /// Refines entry `id` with one more observation (Algorithm 1's
-    /// intersection), keeping its packed mirror in step. `None` when there
+    /// intersection) and returns the refined fingerprint. `None` when there
     /// is no such entry; an error leaves the entry unchanged.
     pub fn refine(
         &mut self,
         id: usize,
         observation: &ErrorString,
-    ) -> Option<Result<&Fingerprint, crate::BitStringError>> {
-        let (_, fp) = self.entries.get_mut(id)?;
-        let refined = match fp.refine(observation) {
-            Ok(refined) => refined,
-            Err(e) => return Some(Err(e)),
-        };
-        *self.packed.get_mut(id)? = refined.errors().to_packed();
-        *fp = refined;
-        Some(Ok(fp))
+    ) -> Option<Result<Fingerprint, crate::BitStringError>> {
+        let refined = self.entry(id)?.1.refine(observation);
+        if let Ok(fp) = &refined {
+            self.packed[id] = fp.errors().to_packed();
+            self.observations[id] = fp.observations();
+        }
+        Some(refined)
     }
 
     /// Builds an [`LshIndex`] over every stored fingerprint (entry id =
     /// insertion order), for [`FingerprintDb::identify_indexed`].
     pub fn build_index(&self, bands: usize, rows_per_band: usize, seed: u64) -> LshIndex {
         let mut index = LshIndex::new(bands, rows_per_band, seed);
-        for (id, (_, fp)) in self.entries.iter().enumerate() {
-            index.insert(id as u32, fp.errors());
+        for (id, packed) in self.packed.iter().enumerate() {
+            index.insert(id as u32, &ErrorString::from_packed(packed));
         }
         index
     }
 
-    /// Distances from `error_string` to every stored fingerprint, in
-    /// insertion order (for histogram figures). Takes the packed popcount
-    /// path when the metric reduces to a [`crate::MetricKind`] (bit-for-bit
-    /// equal to scalar scoring), falling back to per-pair scalar distances
-    /// for custom metrics.
-    pub fn distances(&self, error_string: &ErrorString) -> Vec<f64> {
+    /// **Algorithm 4**'s matching step: the first entry, in insertion order,
+    /// whose distance to `error_string` is below the threshold. The walk
+    /// stops at that entry, so only the entries up to it are scored (and
+    /// counted on the metric's distance counter).
+    pub fn first_within(&self, error_string: &ErrorString) -> Option<usize> {
         match self.metric.kind() {
             Some(kind) => {
-                add_comparisons(kind, self.packed.len() as u64);
-                pc_kernels::score_batch(
-                    &self.packed,
-                    &error_string.to_packed(),
-                    kind,
-                    Parallelism::auto(),
-                )
+                let probe = error_string.to_packed();
+                let hit = self
+                    .packed
+                    .iter()
+                    .position(|fp| pc_kernels::distance_packed(fp, &probe, kind) < self.threshold);
+                add_comparisons(kind, hit.map_or(self.len(), |j| j + 1) as u64);
+                hit
             }
-            None => self
-                .entries
-                .iter()
-                .map(|(_, fp)| self.metric.distance(fp.errors(), error_string))
-                .collect(),
+            None => (0..self.len()).position(|id| {
+                self.metric.distance(&self.errors(id), error_string) < self.threshold
+            }),
         }
     }
 
@@ -159,12 +173,19 @@ impl<L, M: DistanceMetric> FingerprintDb<L, M> {
             }
             None => ids
                 .iter()
-                .map(|&id| {
-                    self.metric
-                        .distance(self.entries[id].1.errors(), error_string)
-                })
+                .map(|&id| self.metric.distance(&self.errors(id), error_string))
                 .collect(),
         }
+    }
+
+    /// Entry `id`'s error bits, unpacked.
+    fn errors(&self, id: usize) -> ErrorString {
+        ErrorString::from_packed(&self.packed[id])
+    }
+
+    /// Entry `id`'s fingerprint, unpacked.
+    fn fingerprint(&self, id: usize) -> Fingerprint {
+        Fingerprint::from_parts(self.errors(id), self.observations[id])
     }
 }
 
@@ -183,9 +204,9 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
     /// [`FingerprintDb::identify`], also reporting the winning distance.
     pub fn identify_with_distance(&self, error_string: &ErrorString) -> Option<(&L, f64)> {
         let _span = pc_telemetry::time!("core.db.identify");
-        pc_telemetry::counter!("core.db.identify.comparisons").add(self.entries.len() as u64);
+        pc_telemetry::counter!("core.db.identify.comparisons").add(self.len() as u64);
         let hit = self
-            .best_of(0..self.entries.len(), error_string)
+            .best_of(0..self.len(), error_string)
             .filter(|&(_, d)| d < self.threshold);
         if hit.is_some() {
             pc_telemetry::counter!("core.db.identify.hits").incr();
@@ -213,7 +234,7 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
         let candidates = index.candidates(error_string);
         pc_telemetry::counter!("core.db.identify_indexed.comparisons").add(candidates.len() as u64);
         pc_telemetry::counter!("core.db.identify_indexed.pruned")
-            .add(self.entries.len().saturating_sub(candidates.len()) as u64);
+            .add(self.len().saturating_sub(candidates.len()) as u64);
         let hit = self
             .best_of(candidates.into_iter().map(|c| c as usize), error_string)
             .filter(|&(_, d)| d < self.threshold);
@@ -231,7 +252,7 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
     /// Distance ties break by label order, like
     /// [`identify`](FingerprintDb::identify).
     pub fn identify_best(&self, error_string: &ErrorString) -> Option<(&L, f64)> {
-        self.best_of(0..self.entries.len(), error_string)
+        self.best_of(0..self.len(), error_string)
     }
 
     /// Identifies every probe: `out[i]` is what
@@ -260,7 +281,7 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
         M: Sync,
     {
         let _span = pc_telemetry::time!("core.db.identify_batch");
-        let all: Vec<usize> = (0..self.entries.len()).collect();
+        let all: Vec<usize> = (0..self.len()).collect();
         // One probe per chunk: each item is a full candidate scan (µs–ms of
         // work), so the atomic chunk claim is noise and per-item claims give
         // the pool the best balance — the old fixed chunk of 16 ran small
@@ -272,7 +293,7 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
                 .filter(|&(_, d)| d < self.threshold)
         });
         pc_telemetry::counter!("core.db.identify.comparisons")
-            .add((self.entries.len() * probes.len()) as u64);
+            .add((self.len() * probes.len()) as u64);
         let hits = results.iter().filter(|r| r.is_some()).count() as u64;
         pc_telemetry::counter!("core.db.identify.hits").add(hits);
         pc_telemetry::counter!("core.db.identify.misses").add(probes.len() as u64 - hits);
@@ -307,7 +328,7 @@ impl<L: Ord, M: DistanceMetric> FingerprintDb<L, M> {
         // tie-break is exact regardless of how scoring was chunked.
         let mut best: Option<(&L, f64)> = None;
         for (&id, &d) in ids.iter().zip(&distances) {
-            let label = &self.entries[id].0;
+            let label = &self.labels[id];
             let better = match best {
                 None => true,
                 Some((best_label, best_d)) => d < best_d || (d == best_d && label < best_label),
@@ -381,17 +402,38 @@ mod tests {
     }
 
     #[test]
-    fn refine_updates_entry_and_packed_mirror() {
+    fn refine_updates_the_packed_entry() {
         let mut db = FingerprintDb::new(PcDistance::new(), 0.5);
         db.insert("a", fp(&[1, 2, 3, 4]));
         let refined = db.refine(0, &es(&[1, 2, 9])).unwrap().unwrap();
         assert_eq!(refined.observations(), 2);
         assert_eq!(refined.weight(), 2);
-        // Scoring reads the packed mirror: it must see the refined {1, 2}.
-        assert_eq!(db.distances(&es(&[1, 2])), vec![0.0]);
+        // Scoring reads the packed column: it must see the refined {1, 2}.
+        assert_eq!(db.identify_best(&es(&[1, 2])), Some((&"a", 0.0)));
         let other_size = ErrorString::from_sorted(vec![1], 64).unwrap();
         assert!(db.refine(0, &other_size).unwrap().is_err());
         assert!(db.refine(1, &es(&[1])).is_none());
+    }
+
+    #[test]
+    fn first_within_takes_the_first_match_in_insertion_order() {
+        let mut db = FingerprintDb::new(PcDistance::new(), 0.3);
+        db.insert("far", fp(&[90, 91, 92, 93]));
+        db.insert("near", fp(&[1, 2, 3, 5])); // distance 0.25: first under 0.3
+        db.insert("exact", fp(&[1, 2, 3, 4])); // distance 0, but later
+        assert_eq!(db.first_within(&es(&[1, 2, 3, 4])), Some(1));
+        assert_eq!(db.first_within(&es(&[60, 61])), None);
+    }
+
+    #[test]
+    fn entries_unpack_to_what_was_inserted() {
+        let mut db = FingerprintDb::new(PcDistance::new(), 0.3);
+        let a = Fingerprint::from_parts(es(&[1, 5, 100]), 3);
+        db.insert("a", a.clone());
+        assert_eq!(db.entry(0), Some((&"a", a.clone())));
+        assert_eq!(db.entry(1), None);
+        assert_eq!(db.iter().collect::<Vec<_>>(), vec![(&"a", a)]);
+        assert_eq!(db.labels().collect::<Vec<_>>(), vec![&"a"]);
     }
 
     #[test]
@@ -416,16 +458,6 @@ mod tests {
         let db: FingerprintDb<&str> = FingerprintDb::new(PcDistance::new(), 0.25);
         assert!(db.identify_best(&es(&[1])).is_none());
         assert!(db.is_empty());
-    }
-
-    #[test]
-    fn distances_in_insertion_order() {
-        let mut db = FingerprintDb::new(PcDistance::new(), 0.25);
-        db.insert(1, fp(&[1, 2]));
-        db.insert(2, fp(&[3, 4]));
-        let d = db.distances(&es(&[1, 2]));
-        assert_eq!(d.len(), 2);
-        assert!(d[0] < d[1]);
     }
 
     #[test]

@@ -27,6 +27,22 @@ pub trait DistanceMetric {
     }
 }
 
+/// A borrowed metric is a metric, so a [`crate::FingerprintDb`] can score
+/// with one it does not own.
+impl<M: DistanceMetric + ?Sized> DistanceMetric for &M {
+    fn distance(&self, fingerprint: &ErrorString, error_string: &ErrorString) -> f64 {
+        (**self).distance(fingerprint, error_string)
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn kind(&self) -> Option<MetricKind> {
+        (**self).kind()
+    }
+}
+
 /// The paper's metric (Algorithm 3): the fraction of fingerprint error bits
 /// *absent* from the output's error pattern, based on the Jaccard index.
 ///

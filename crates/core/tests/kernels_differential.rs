@@ -69,6 +69,20 @@ proptest! {
         );
     }
 
+    /// Unpacking is the exact inverse of packing, over sparse blocks and
+    /// dense ones (more than 2048 bits in a block).
+    #[test]
+    fn from_packed_inverts_to_packed(
+        seed in any::<u64>(),
+        density in 0u64..=150,
+        pages in prop_oneof![Just(PAGE), Just(4 * PAGE), Just(3 * PAGE + 1_000)],
+    ) {
+        let e = es_with(seed, density, pages);
+        let packed = e.to_packed();
+        prop_assert!(density < 100 || packed.dense_block_count() > 0);
+        prop_assert_eq!(ErrorString::from_packed(&packed), e);
+    }
+
     /// All three metrics are bit-for-bit identical between the scalar path
     /// and packed batch scoring across the full density range.
     #[test]

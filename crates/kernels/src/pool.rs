@@ -35,7 +35,7 @@ pub const DEFAULT_CHUNK: usize = 256;
 const TARGET_CHUNKS_PER_THREAD: usize = 8;
 
 /// Adaptive chunk size for an `n`-item batch on `threads` workers: about
-/// [`TARGET_CHUNKS_PER_THREAD`] chunks per worker, clamped to `[16, 4096]`
+/// eight chunks per worker, clamped to `[16, 4096]`
 /// items so tiny batches do not shred into per-item claims and huge batches
 /// do not starve the tail. Single-threaded runs take one chunk.
 pub fn chunk_size_for(n: usize, threads: usize) -> usize {

@@ -1,8 +1,12 @@
 //! The server's fingerprint store.
 //!
-//! Fingerprints live in one [`FingerprintDb`]; an entry's id is its
-//! insertion index, which is also the coordinate system of the core
-//! [`LshIndex`] and of [`probable_cause::persistence`].
+//! Fingerprints live in one [`FingerprintDb`], stored packed; an entry's id
+//! is its insertion index, which is also the coordinate system of the core
+//! [`LshIndex`] and of [`probable_cause::persistence`]. The online cluster
+//! book is a second [`FingerprintDb`] walked by the same Algorithm 4 step
+//! as core [`probable_cause::cluster`]
+//! ([`FingerprintDb::first_within`]). The store holds no fingerprint
+//! representation of its own.
 //!
 //! [`ShardedStore::identify`] plans, scores the candidates under the
 //! database's read lock, and applies the threshold, all on the calling
@@ -13,13 +17,10 @@
 //! modified-Jaccard distance.
 
 use parking_lot::{Mutex, RwLock};
-use pc_kernels::{distance_packed, MetricKind, PackedErrors, Parallelism};
+use pc_kernels::Parallelism;
 use pc_telemetry::counter;
-use probable_cause::batch::add_comparisons;
 use probable_cause::persistence::{self, DbIoError};
-use probable_cause::{
-    DistanceMetric, ErrorString, Fingerprint, FingerprintDb, LshIndex, PcDistance,
-};
+use probable_cause::{ErrorString, Fingerprint, FingerprintDb, LshIndex, PcDistance};
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::path::Path;
@@ -108,15 +109,15 @@ const PARALLEL_SCORE_MIN: usize = 4_096;
 #[derive(Debug)]
 pub struct ShardedStore {
     config: StoreConfig,
-    /// Every stored fingerprint with its packed mirror; id = insertion index.
+    /// Every stored fingerprint; id = insertion index.
     db: RwLock<FingerprintDb<String, PcDistance>>,
     index: RwLock<LshIndex>,
     /// label → entry id. Held across every mutation and the index build,
     /// so it also orders them.
     labels: Mutex<BTreeMap<String, u32>>,
-    /// Algorithm 4 state for `cluster-ingest`: each cluster's fingerprint
-    /// with its packed mirror (rebuilt on refine).
-    clusters: Mutex<Vec<(Fingerprint, PackedErrors)>>,
+    /// Algorithm 4 state for `cluster-ingest`: the cluster fingerprints,
+    /// cluster id = entry id.
+    clusters: Mutex<FingerprintDb<(), PcDistance>>,
     distance_evals: AtomicU64,
     /// Degraded mode: the routing index is absent or rebuilding; identifies
     /// fall back to a full linear scan and index writes are skipped.
@@ -165,15 +166,16 @@ impl ShardedStore {
         degraded: bool,
     ) -> Self {
         let mut labels = BTreeMap::new();
-        for (id, (label, _)) in db.iter().enumerate() {
+        for (id, label) in db.labels().enumerate() {
             labels.entry(label.clone()).or_insert(id as u32);
         }
+        let clusters = FingerprintDb::new(PcDistance::new(), config.threshold);
         Self {
             config,
             db: RwLock::new(db),
             index: RwLock::new(index),
             labels: Mutex::new(labels),
-            clusters: Mutex::new(Vec::new()),
+            clusters: Mutex::new(clusters),
             distance_evals: AtomicU64::new(0),
             degraded: AtomicBool::new(degraded),
             applied_wseq: AtomicU64::new(0),
@@ -214,12 +216,6 @@ impl ShardedStore {
     /// Full distance evaluations paid by scoring since construction.
     pub fn distance_evals(&self) -> u64 {
         self.distance_evals.load(Ordering::Relaxed)
-    }
-
-    /// The packed-kernel form of the metric. [`PcDistance`] always has one;
-    /// the fallback only exists to keep this path panic-free.
-    fn kind(&self) -> MetricKind {
-        PcDistance::new().kind().unwrap_or(MetricKind::PcJaccard)
     }
 
     /// Inserts a brand-new labelled fingerprint under the next entry id.
@@ -391,9 +387,10 @@ impl ShardedStore {
     /// threshold (refining it) or seeds a new one. Returns
     /// `(cluster_id, seeded, total_clusters)`.
     ///
-    /// First-match semantics follow the paper's pseudocode; ingests are
-    /// serialized by the dispatcher, so cluster ids are deterministic for a
-    /// given arrival order.
+    /// First-match semantics follow the paper's pseudocode
+    /// ([`FingerprintDb::first_within`]); ingests are serialized by the
+    /// dispatcher, so cluster ids are deterministic for a given arrival
+    /// order.
     ///
     /// # Errors
     ///
@@ -401,37 +398,22 @@ impl ShardedStore {
     /// the matched cluster's fingerprint.
     pub fn cluster_ingest(&self, errors: &ErrorString) -> Result<(u64, bool, u64), StoreError> {
         let _span = pc_telemetry::time!("service.store.cluster_ingest");
-        let probe = errors.to_packed();
-        let kind = self.kind();
         let mut clusters = self.clusters.lock();
-        let mut compared = 0u64;
-        let mut matched = None;
-        for (j, (_, packed)) in clusters.iter().enumerate() {
-            compared += 1;
-            if distance_packed(packed, &probe, kind) < self.config.threshold {
-                matched = Some(j);
-                break;
-            }
-        }
+        let matched = clusters.first_within(errors);
+        let compared = matched.map_or(clusters.len(), |j| j + 1) as u64;
         self.distance_evals.fetch_add(compared, Ordering::Relaxed);
-        add_comparisons(kind, compared);
         match matched {
             Some(j) => {
-                let total = clusters.len() as u64;
-                let Some(entry) = clusters.get_mut(j) else {
+                let Some(refined) = clusters.refine(j, errors) else {
                     return Err(StoreError::MissingCluster { cluster: j });
                 };
-                let refined = entry
-                    .0
-                    .refine(errors)
+                refined
                     .map_err(|e| StoreError::Refine(format!("cannot refine cluster {j}: {e}")))?;
-                let packed = refined.errors().to_packed();
-                *entry = (refined, packed);
                 counter!("service.store.cluster.refined").incr();
-                Ok((j as u64, false, total))
+                Ok((j as u64, false, clusters.len() as u64))
             }
             None => {
-                clusters.push((Fingerprint::from_observation(errors.clone()), probe));
+                clusters.insert((), Fingerprint::from_observation(errors.clone()));
                 counter!("service.store.cluster.seeded").incr();
                 Ok((clusters.len() as u64 - 1, true, clusters.len() as u64))
             }
@@ -678,6 +660,53 @@ mod tests {
             (0, false, 2)
         );
         assert_eq!(store.cluster_count(), 2);
+    }
+
+    #[test]
+    fn cluster_ingest_matches_core_cluster() {
+        // Six devices, five noisy outputs each, arriving interleaved: every
+        // output keeps its device's 40 bits minus one and adds two noise bits.
+        let mut observations: Vec<ErrorString> = (0..5u64)
+            .flat_map(|round| {
+                (0..6u64).map(move |chip| {
+                    let mut bits = chip_bits(chip);
+                    bits.remove(((round * 7 + chip) % 40) as usize);
+                    bits.extend([3000 + round * 13 + chip, 3500 + round * 29 + chip]);
+                    ErrorString::from_unsorted(bits, 4096).unwrap()
+                })
+            })
+            .collect();
+        // A bridge within the threshold of clusters 0 and 1, closer to 1:
+        // first match, not best match, must take it to cluster 0.
+        let mut bridge = chip_bits(0)[..35].to_vec();
+        bridge.extend(chip_bits(1));
+        observations.push(es(&bridge));
+        let threshold = 0.3;
+        let store = ShardedStore::new(StoreConfig {
+            threshold,
+            ..StoreConfig::default()
+        });
+        let core = probable_cause::cluster(&observations, &PcDistance::new(), threshold);
+        let mut seen = 0usize;
+        for (obs, &want) in observations.iter().zip(core.assignments()) {
+            let seeded = want == seen;
+            seen += usize::from(seeded);
+            let (id, got_seeded, total) = store.cluster_ingest(obs).unwrap();
+            assert_eq!((id as usize, got_seeded), (want, seeded));
+            assert_eq!(total as usize, seen);
+        }
+        assert_eq!(store.cluster_count(), core.len());
+        assert_eq!(core.len(), 6);
+        assert_eq!(core.assignments().last(), Some(&0));
+
+        // Cluster 0's own bits over a different size: it matches, the
+        // refine refuses, and no cluster is added.
+        let resized = ErrorString::from_sorted(chip_bits(0), 8192).unwrap();
+        assert!(matches!(
+            store.cluster_ingest(&resized),
+            Err(StoreError::Refine(_))
+        ));
+        assert_eq!(store.cluster_count(), 6);
     }
 
     #[test]

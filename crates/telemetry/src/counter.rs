@@ -3,8 +3,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// A monotonic event counter. Registered in the global [`Collector`]
-/// (`crate::Collector`) under a static name; incremented with relaxed
+/// A monotonic event counter. Registered in the global
+/// [`Collector`](crate::Collector) under a static name; incremented with relaxed
 /// ordering from any thread.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -35,7 +35,7 @@ impl Counter {
 }
 
 /// A call-site handle to a named counter, designed to live in a `static`
-/// (see the [`counter!`](crate::counter) macro).
+/// (see the [`counter!`](crate::counter!) macro).
 ///
 /// The first recording after the collector is installed resolves the name in
 /// the registry and caches the reference; recording is lock-free from then

@@ -241,7 +241,7 @@ impl HistogramSnapshot {
 }
 
 /// A call-site handle to a named value histogram, designed to live in a
-/// `static` (see the [`histogram!`](crate::histogram) macro).
+/// `static` (see the [`histogram!`](crate::histogram!) macro).
 ///
 /// Mirrors [`CounterHandle`](crate::CounterHandle): the first recording after
 /// the collector is installed resolves the name in the registry and caches

@@ -96,7 +96,7 @@
 //! `--telemetry PATH` (or the `PC_TELEMETRY` environment variable) streams
 //! structured JSON-lines events and enables the metric counters.
 
-use probable_cause_repro::core::persistence::{load_db, save_db};
+use probable_cause_repro::core::persistence::{load_db_from_path, save_db_to_path, DbIoError};
 use probable_cause_repro::core::{characterize, ErrorString, FingerprintDb, PcDistance};
 use probable_cause_repro::image::read_pgm;
 use probable_cause_repro::prelude::*;
@@ -106,7 +106,7 @@ use probable_cause_repro::service::{
     ring, router, ConnectOptions, RetryPolicy, ServiceClient, StoreConfig,
 };
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -295,12 +295,23 @@ fn errors_between(exact: &GrayImage, approx_path: &str) -> Result<ErrorString, S
     Ok(ErrorString::from_xor(approx.as_bytes(), exact.as_bytes()))
 }
 
+/// Loads the database at `path`, falling back to its `.bak` copy when the
+/// primary is damaged.
+fn load_db_at(path: &str) -> Result<FingerprintDb<String, PcDistance>, DbIoError> {
+    let recovered = load_db_from_path(Path::new(path))?;
+    if let Some(e) = recovered.primary_error {
+        eprintln!("warning: {path} is damaged ({e}); loaded its backup");
+    }
+    Ok(recovered.value)
+}
+
 fn load_or_new_db(path: &str) -> Result<FingerprintDb<String, PcDistance>, String> {
-    if Path::new(path).exists() {
-        let f = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-        load_db(BufReader::new(f)).map_err(|e| format!("cannot load {path}: {e}"))
-    } else {
-        Ok(FingerprintDb::new(PcDistance::new(), 0.25))
+    match load_db_at(path) {
+        Ok(db) => Ok(db),
+        Err(DbIoError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+            Ok(FingerprintDb::new(PcDistance::new(), 0.25))
+        }
+        Err(e) => Err(format!("cannot load {path}: {e}")),
     }
 }
 
@@ -328,8 +339,8 @@ fn cmd_characterize(args: &[String]) -> Result<(), String> {
 
     let mut db = load_or_new_db(&db_path)?;
     db.insert(label, fp);
-    let f = File::create(&db_path).map_err(|e| format!("cannot write {db_path}: {e}"))?;
-    save_db(&db, BufWriter::new(f)).map_err(|e| format!("cannot write {db_path}: {e}"))?;
+    save_db_to_path(&db, Path::new(&db_path))
+        .map_err(|e| format!("cannot write {db_path}: {e}"))?;
     println!("database {db_path} now holds {} fingerprint(s)", db.len());
     Ok(())
 }
@@ -341,8 +352,7 @@ fn cmd_identify(args: &[String]) -> Result<(), String> {
     };
     let exact = read_image(exact_path)?;
     let errors = errors_between(&exact, approx_path)?;
-    let f = File::open(&db_path).map_err(|e| format!("cannot open {db_path}: {e}"))?;
-    let db = load_db(BufReader::new(f)).map_err(|e| format!("cannot load {db_path}: {e}"))?;
+    let db = load_db_at(&db_path).map_err(|e| format!("cannot load {db_path}: {e}"))?;
 
     println!("{} error bits in the output", errors.weight());
     match db.identify_best(&errors) {
