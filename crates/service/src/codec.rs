@@ -39,8 +39,6 @@ pub enum CodecError {
     BadUtf8,
     /// The payload was not valid JSON.
     BadJson(JsonParseError),
-    /// No frame started within the guard's idle window (quiet connection).
-    Idle,
     /// A started frame did not complete within the guard's frame window —
     /// the slow-loris defense: dripping bytes cannot hold a connection open.
     Stalled {
@@ -63,7 +61,6 @@ impl fmt::Display for CodecError {
             }
             CodecError::BadUtf8 => write!(f, "frame payload is not UTF-8"),
             CodecError::BadJson(e) => write!(f, "frame payload is not JSON: {e}"),
-            CodecError::Idle => write!(f, "connection idle past its deadline"),
             CodecError::Stalled { elapsed_ms } => {
                 write!(f, "frame stalled mid-flight after {elapsed_ms} ms")
             }
@@ -109,16 +106,15 @@ pub fn read_frame<R: Read>(r: &mut R, max_bytes: u32) -> Result<JsonValue, Codec
     read_frame_guarded(r, max_bytes, ReadGuard::default())
 }
 
-/// Read deadlines for [`read_frame_guarded`].
+/// The read deadline for [`read_frame_guarded`].
 ///
-/// Both limits need the underlying stream to deliver periodic timeout errors
+/// The limit needs the underlying stream to deliver periodic timeout errors
 /// (`WouldBlock`/`TimedOut`) as a polling tick — for a `TcpStream`, set its
-/// read timeout to [`ReadGuard::tick`]. A `None` field disables that limit;
-/// the default guard enforces nothing and behaves exactly like a plain read.
+/// read timeout to [`ReadGuard::tick`]. The default guard enforces nothing
+/// and behaves exactly like a plain read. A quiet stream between frames is
+/// never limited.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReadGuard {
-    /// Maximum quiet time at a frame boundary before [`CodecError::Idle`].
-    pub idle_timeout: Option<Duration>,
     /// Maximum time from a frame's first byte to its completion before
     /// [`CodecError::Stalled`] — the slow-loris byte-progress limit: a peer
     /// dripping one byte per tick still cannot hold the frame open past
@@ -127,39 +123,33 @@ pub struct ReadGuard {
 }
 
 impl ReadGuard {
-    /// Whether any limit is active.
+    /// Whether the limit is active.
     pub fn is_active(&self) -> bool {
-        self.idle_timeout.is_some() || self.frame_timeout.is_some()
+        self.frame_timeout.is_some()
     }
 
     /// A polling tick for the stream's read timeout: a quarter of the
-    /// tightest limit, clamped to 10–250 ms.
+    /// limit, clamped to 10–250 ms.
     pub fn tick(&self) -> Duration {
-        let tightest = [self.idle_timeout, self.frame_timeout]
-            .into_iter()
-            .flatten()
-            .min()
-            .unwrap_or(Duration::from_secs(1));
-        (tightest / 4).clamp(Duration::from_millis(10), Duration::from_millis(250))
+        let limit = self.frame_timeout.unwrap_or(Duration::from_secs(1));
+        (limit / 4).clamp(Duration::from_millis(10), Duration::from_millis(250))
     }
 }
 
-/// [`read_frame`] with read deadlines.
+/// [`read_frame`] with a read deadline.
 ///
 /// # Errors
 ///
-/// Everything [`read_frame`] can raise, plus [`CodecError::Idle`] /
-/// [`CodecError::Stalled`] when a guard limit expires.
+/// Everything [`read_frame`] can raise, plus [`CodecError::Stalled`] when
+/// the guard's limit expires.
 pub fn read_frame_guarded<R: Read>(
     r: &mut R,
     max_bytes: u32,
     guard: ReadGuard,
 ) -> Result<JsonValue, CodecError> {
-    // pc-allow: D002 — read deadlines are wall-clock by contract
-    let wait_start = Instant::now();
     let mut frame_start: Option<Instant> = None;
     let mut prefix = [0u8; 4];
-    read_exact_guarded(r, &mut prefix, true, guard, wait_start, &mut frame_start)?;
+    read_exact_guarded(r, &mut prefix, true, guard, &mut frame_start)?;
     let announced = u32::from_be_bytes(prefix);
     if announced > max_bytes {
         counter!("service.codec.rejected_oversize").incr();
@@ -169,7 +159,7 @@ pub fn read_frame_guarded<R: Read>(
         });
     }
     let mut payload = vec![0u8; announced as usize];
-    read_exact_guarded(r, &mut payload, false, guard, wait_start, &mut frame_start)?;
+    read_exact_guarded(r, &mut payload, false, guard, &mut frame_start)?;
     let text = std::str::from_utf8(&payload).map_err(|_| CodecError::BadUtf8)?;
     let value = pc_telemetry::parse_json(text).map_err(CodecError::BadJson)?;
     counter!("service.codec.frames_in").incr();
@@ -180,13 +170,12 @@ pub fn read_frame_guarded<R: Read>(
 /// Like `read_exact`, but reports a clean close before the first byte as
 /// [`CodecError::Closed`] (only when `at_boundary`), any later shortfall as
 /// [`CodecError::Truncated`], and treats the stream's timeout errors as a
-/// polling tick against the guard's deadlines instead of a failure.
+/// polling tick against the guard's deadline instead of a failure.
 fn read_exact_guarded<R: Read>(
     r: &mut R,
     buf: &mut [u8],
     at_boundary: bool,
     guard: ReadGuard,
-    wait_start: Instant,
     frame_start: &mut Option<Instant>,
 ) -> Result<(), CodecError> {
     let mut filled = 0;
@@ -205,8 +194,8 @@ fn read_exact_guarded<R: Read>(
             Ok(n) => {
                 filled += n;
                 // The frame clock starts at its first byte, not at the call:
-                // a connection may sit quietly at a boundary for as long as
-                // the idle window allows without penalizing the next frame.
+                // a connection may sit quietly at a boundary without
+                // penalizing the next frame.
                 // pc-allow: D002 — frame stall deadline is wall-clock by contract
                 frame_start.get_or_insert_with(Instant::now);
             }
@@ -217,33 +206,20 @@ fn read_exact_guarded<R: Read>(
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                // With no guard at all there is nothing to poll for —
-                // surface the stream's timeout as the transport error it is
-                // (plain `read_frame` behavior). An active guard instead
-                // treats the timeout as a tick: a `None` field means that
-                // phase is unlimited, so the wait simply continues.
-                if !guard.is_active() {
+                // With no guard there is nothing to poll for — surface the
+                // stream's timeout as the transport error it is (plain
+                // `read_frame` behavior). An active guard instead treats the
+                // timeout as a tick; between frames the wait simply goes on.
+                let Some(limit) = guard.frame_timeout else {
                     return Err(CodecError::Io(e));
-                }
-                match *frame_start {
-                    None => {
-                        if let Some(limit) = guard.idle_timeout {
-                            if wait_start.elapsed() >= limit {
-                                counter!("service.codec.idle_timeouts").incr();
-                                return Err(CodecError::Idle);
-                            }
-                        }
-                    }
-                    Some(started) => {
-                        if let Some(limit) = guard.frame_timeout {
-                            let elapsed = started.elapsed();
-                            if elapsed >= limit {
-                                counter!("service.codec.stalled_frames").incr();
-                                return Err(CodecError::Stalled {
-                                    elapsed_ms: elapsed.as_millis() as u64,
-                                });
-                            }
-                        }
+                };
+                if let Some(started) = *frame_start {
+                    let elapsed = started.elapsed();
+                    if elapsed >= limit {
+                        counter!("service.codec.stalled_frames").incr();
+                        return Err(CodecError::Stalled {
+                            elapsed_ms: elapsed.as_millis() as u64,
+                        });
                     }
                 }
             }
@@ -351,27 +327,13 @@ mod tests {
     }
 
     #[test]
-    fn quiet_connection_times_out_as_idle() {
-        let mut r = DrippingReader::new(Vec::new());
-        let guard = ReadGuard {
-            idle_timeout: Some(Duration::from_millis(25)),
-            frame_timeout: None,
-        };
-        assert!(matches!(
-            read_frame_guarded(&mut r, MAX_FRAME_BYTES, guard),
-            Err(CodecError::Idle)
-        ));
-    }
-
-    #[test]
     fn dripped_frame_times_out_as_stalled() {
         let mut wire = Vec::new();
         write_frame(&mut wire, &sample()).unwrap();
         // One byte arrives, then the peer goes quiet mid-frame: the frame
-        // clock is running, so this must surface as Stalled, not Idle.
+        // clock is running, so this must surface as Stalled.
         let mut r = DrippingReader::new(vec![wire[..1].to_vec()]);
         let guard = ReadGuard {
-            idle_timeout: Some(Duration::from_secs(60)),
             frame_timeout: Some(Duration::from_millis(25)),
         };
         assert!(matches!(
@@ -387,7 +349,6 @@ mod tests {
         let chunks = wire.chunks(3).map(|c| c.to_vec()).collect();
         let mut r = DrippingReader::new(chunks);
         let guard = ReadGuard {
-            idle_timeout: Some(Duration::from_secs(60)),
             frame_timeout: Some(Duration::from_secs(60)),
         };
         let value = read_frame_guarded(&mut r, MAX_FRAME_BYTES, guard).unwrap();
@@ -397,7 +358,6 @@ mod tests {
     #[test]
     fn guard_tick_tracks_tightest_limit() {
         let guard = ReadGuard {
-            idle_timeout: Some(Duration::from_millis(400)),
             frame_timeout: Some(Duration::from_millis(100)),
         };
         assert!(guard.is_active());

@@ -12,8 +12,11 @@
 //!   distance only against fingerprints it shares a MinHash band with.
 //! - [`pool`]: a bounded submission queue (explicit `busy` backpressure)
 //!   drained by one dispatcher thread that answers every request.
-//! - [`server`]: the accept loop, per-connection reader/writer threads, and
-//!   graceful drain-on-shutdown with database + index persistence.
+//! - [`conn`]: the front end both tiers share — accept loop,
+//!   per-connection reader/writer threads, deadlines, the shutdown handle,
+//!   and graceful drain.
+//! - [`server`]: the replica tier — store, dispatcher pool, and database +
+//!   index persistence behind the shared front end.
 //! - [`client`]: a blocking client (`pc query` and the tests).
 //! - [`ring`]: the deterministic consistent-hash ring, health hysteresis,
 //!   and per-replica pending-write journal primitives.
@@ -49,6 +52,7 @@
 
 pub mod client;
 pub mod codec;
+pub mod conn;
 pub mod pool;
 pub mod protocol;
 pub mod ring;
@@ -60,12 +64,13 @@ pub use client::{ClientError, ConnectOptions, RetryPolicy, ServiceClient};
 pub use codec::{
     read_frame, read_frame_guarded, write_frame, CodecError, ReadGuard, MAX_FRAME_BYTES,
 };
+pub use conn::{Handle, ShutdownTrigger};
 pub use pool::{Outbound, PoolMetrics};
 pub use protocol::{
     decode_request, decode_response, encode_request, encode_request_with, encode_response,
     MetricsBody, OpLatency, ProtocolError, Request, Response, StatsBody, TraceBody, TraceRecord,
 };
 pub use ring::{HealthPolicy, Ring, RingConfig};
-pub use router::{RouterConfig, RouterHandle, RouterTrigger};
-pub use server::{start, ServerConfig, ServerHandle, ShutdownTrigger};
+pub use router::{RouterConfig, RouterHandle};
+pub use server::{start, ServerConfig, ServerHandle};
 pub use store::{ShardedStore, StoreConfig};

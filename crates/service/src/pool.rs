@@ -70,7 +70,7 @@ pub type Reply = mpsc::Sender<Outbound>;
 ///
 /// Called exactly once per request, at the point its response is built —
 /// everything from queue pickup to here counts as the score stage.
-pub(crate) fn apply_trace(trace: &mut Option<Box<TraceBuilder>>, response: Response) -> Response {
+fn apply_trace(trace: &mut Option<Box<TraceBuilder>>, response: Response) -> Response {
     let Some(tb) = trace.as_deref_mut() else {
         return response;
     };
@@ -367,7 +367,12 @@ impl Pool {
 
 /// Sends `response` (wrapped by [`apply_trace`]) to the job's connection. A
 /// connection that already went away is not the engine's failure.
-fn answer(reply: &Reply, seq: u64, mut trace: Option<Box<TraceBuilder>>, response: Response) {
+pub(crate) fn answer(
+    reply: &Reply,
+    seq: u64,
+    mut trace: Option<Box<TraceBuilder>>,
+    response: Response,
+) {
     let response = apply_trace(&mut trace, response);
     let _ = reply.send(Outbound {
         seq,

@@ -538,23 +538,13 @@ pub fn encode_request_routed(
 }
 
 /// Decodes a request frame into `(seq, request)`, dropping the optional
-/// `trace` flag (see [`decode_request_flags`]).
+/// routing fields (see [`decode_request_routed`]).
 ///
 /// # Errors
 ///
 /// [`ProtocolError`] naming the first offending field.
 pub fn decode_request(frame: &JsonValue) -> Result<(u64, Request), ProtocolError> {
-    decode_request_flags(frame).map(|(seq, request, _)| (seq, request))
-}
-
-/// Decodes a request frame into `(seq, request, trace)`, where `trace` is
-/// the optional `"trace"` flag (absent → `false`).
-///
-/// # Errors
-///
-/// [`ProtocolError`] naming the first offending field.
-pub fn decode_request_flags(frame: &JsonValue) -> Result<(u64, Request, bool), ProtocolError> {
-    decode_request_routed(frame).map(|(seq, request, trace, _, _)| (seq, request, trace))
+    decode_request_routed(frame).map(|(seq, request, ..)| (seq, request))
 }
 
 fn decode_replay_entry(v: &JsonValue) -> Result<SequencedEntry, ProtocolError> {
@@ -1202,14 +1192,20 @@ mod tests {
         };
         let text = encode_request_with(9, &req, true).to_compact();
         let back = pc_telemetry::parse_json(&text).unwrap();
-        assert_eq!(decode_request_flags(&back).unwrap(), (9, req.clone(), true));
+        assert_eq!(
+            decode_request_routed(&back).unwrap(),
+            (9, req.clone(), true, None, None)
+        );
 
         let plain = encode_request(9, &req).to_compact();
         let back = pc_telemetry::parse_json(&plain).unwrap();
-        assert_eq!(decode_request_flags(&back).unwrap(), (9, req, false));
+        assert_eq!(
+            decode_request_routed(&back).unwrap(),
+            (9, req, false, None, None)
+        );
 
         let bad = pc_telemetry::parse_json(r#"{"seq":1,"op":"ping","trace":"yes"}"#).unwrap();
-        assert!(decode_request_flags(&bad).is_err(), "non-bool trace flag");
+        assert!(decode_request_routed(&bad).is_err(), "non-bool trace flag");
     }
 
     #[test]

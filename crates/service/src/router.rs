@@ -42,21 +42,25 @@
 //! hysteresis state machine as request-path failures. When a down replica
 //! answers enough consecutive probes it is healed — journal replay, then
 //! a checkpoint, then reinstatement — before it serves again.
+//!
+//! Connections, deadlines and shutdown are the shared front end of
+//! [`crate::conn`]; each request is routed inline on its connection's
+//! reader thread, so one connection's requests are handled serially and
+//! answered in order. Once the front end has drained, the router joins its
+//! prober.
 
 use crate::client::{ClientError, ConnectOptions, ServiceClient};
-use crate::codec::{self, CodecError};
-use crate::pool::apply_trace;
+use crate::codec;
+use crate::conn::{self, Call, Front, Handle, Tier};
 use crate::protocol::{self, NodeStatus, ReplayEntry, Request, Response, RingStatusBody};
 use crate::ring::{key_of, HealthPolicy, Journal, NodeHealth, Ring, RingConfig};
-use crate::server::count_request;
 use parking_lot::Mutex as PlMutex;
 use pc_telemetry::counter;
-use pc_telemetry::trace::{trace_id, Stage, StageClock, Tracer};
-use std::io::{self, BufReader, BufWriter};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use pc_telemetry::trace::{trace_id, Tracer};
+use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::Duration;
 
 /// Router configuration.
@@ -87,8 +91,10 @@ pub struct RouterConfig {
     pub forward_timeout_ms: u64,
     /// Per-frame payload cap on client connections.
     pub max_frame_bytes: u32,
-    /// Socket write timeout for client responses.
-    pub write_timeout_ms: Option<u64>,
+    /// Client-connection deadline in milliseconds: both the per-frame read
+    /// deadline, measured from a frame's first byte, and the socket write
+    /// timeout for responses. `None` disables both.
+    pub timeout_ms: Option<u64>,
     /// Slow-request threshold for the router's tracer.
     pub slow_ms: Option<u64>,
     /// Flight-recorder capacity.
@@ -110,7 +116,7 @@ impl Default for RouterConfig {
             probe_interval_ms: 20,
             forward_timeout_ms: 2_000,
             max_frame_bytes: codec::MAX_FRAME_BYTES,
-            write_timeout_ms: Some(30_000),
+            timeout_ms: Some(30_000),
             slow_ms: None,
             flight_recorder_len: 64,
             trace: true,
@@ -146,17 +152,16 @@ impl Node {
     }
 }
 
-/// State shared between the accept loop, connections, and the prober.
-struct RouterShared {
+/// A running router's state, shared by its connections, its prober and its
+/// handle.
+pub struct Router {
+    front: Arc<Front>,
     config: RouterConfig,
     ring: Ring,
     nodes: Vec<Node>,
     /// Serializes every mutation fan-out (and journal replay), so all
     /// replicas observe writes in one global order.
     mutation_lock: PlMutex<()>,
-    tracer: Arc<Tracer>,
-    local_addr: SocketAddr,
-    shutting_down: AtomicBool,
     failovers: AtomicU64,
     quorum_mismatches: AtomicU64,
     sheds: AtomicU64,
@@ -167,14 +172,7 @@ struct RouterShared {
     next_wseq: AtomicU64,
 }
 
-impl RouterShared {
-    fn begin_shutdown(&self) {
-        if !self.shutting_down.swap(true, Ordering::SeqCst) {
-            counter!("service.shutdown.triggered").incr();
-            let _ = TcpStream::connect(self.local_addr);
-        }
-    }
-
+impl Router {
     fn forward_options(&self) -> ConnectOptions {
         ConnectOptions::uniform(Duration::from_millis(self.config.forward_timeout_ms.max(1)))
     }
@@ -189,7 +187,7 @@ impl RouterShared {
     ) -> Option<Response> {
         let node = self.nodes.get(idx)?;
         if pc_faults::fail_point("ring.forward") {
-            self.tracer.dump("fault_injected");
+            self.front.tracer.dump("fault_injected");
             return None;
         }
         let pooled = node.pool.lock().pop();
@@ -426,7 +424,7 @@ impl RouterShared {
     fn ring_status(&self) -> RingStatusBody {
         RingStatusBody {
             role: "router".to_string(),
-            id: self.local_addr.to_string(),
+            id: self.front.local_addr.to_string(),
             replication: self.ring.replication() as u64,
             vnodes: self.config.ring.vnodes as u64,
             seed: self.config.ring.seed,
@@ -446,55 +444,6 @@ impl RouterShared {
                 })
                 .collect(),
         }
-    }
-
-    /// Router-local metrics from its own tracer (queue depth is always 0 —
-    /// the router has no submission queue).
-    fn metrics(&self) -> protocol::MetricsBody {
-        let ops = self
-            .tracer
-            .snapshot()
-            .into_iter()
-            .filter_map(|(op, snap)| {
-                if snap.count() == 0 {
-                    return None;
-                }
-                let max_ns = snap.max().unwrap_or(0);
-                Some(protocol::OpLatency {
-                    op: op.to_string(),
-                    count: snap.count(),
-                    p50_ns: snap.quantile(0.50).unwrap_or(max_ns),
-                    p90_ns: snap.quantile(0.90).unwrap_or(max_ns),
-                    p99_ns: snap.quantile(0.99).unwrap_or(max_ns),
-                    max_ns,
-                })
-            })
-            .collect();
-        protocol::MetricsBody {
-            ops,
-            queue_depth: 0,
-            slow_requests: self.tracer.slow_requests(),
-            degraded: false,
-        }
-    }
-
-    fn trace_dump(&self) -> Vec<protocol::TraceRecord> {
-        self.tracer
-            .recent_traces()
-            .into_iter()
-            .map(|t| protocol::TraceRecord {
-                trace_id: t.trace_id,
-                op: t.op.to_string(),
-                seq: t.seq,
-                decode_ns: t.stage_ns(Stage::Decode),
-                queue_wait_ns: t.stage_ns(Stage::QueueWait),
-                score_ns: t.stage_ns(Stage::Score),
-                encode_ns: t.stage_ns(Stage::Encode),
-                write_ns: t.stage_ns(Stage::Write),
-                total_ns: t.total_ns,
-                slow: t.slow,
-            })
-            .collect()
     }
 
     /// Heals a down replica that has earned rejoin: replay its journal,
@@ -605,85 +554,20 @@ fn tie_break(a: Response, b: Response) -> Response {
     }
 }
 
-/// A handle to a running router. Dropping it shuts the router down and
-/// blocks until drained (replicas are left running).
-pub struct RouterHandle {
-    shared: Arc<RouterShared>,
-    accept_thread: Option<JoinHandle<io::Result<()>>>,
-    prober: Option<JoinHandle<()>>,
-}
+/// A handle to a running router (see [`Handle`]). Dropping it shuts the
+/// router down and blocks until drained; replicas are left running.
+pub type RouterHandle = Handle<Router>;
 
-impl RouterHandle {
-    /// The bound address (resolves port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+impl Tier for Router {
+    const THREADS: &'static str = "pc-route";
+
+    fn front(&self) -> &Arc<Front> {
+        &self.front
     }
 
-    /// Triggers graceful shutdown without waiting.
-    pub fn shutdown(&self) {
-        self.shared.begin_shutdown();
-    }
-
-    /// A clonable handle other threads can use to trigger shutdown (the
-    /// `--watch-stdin` watcher in `pc route`).
-    pub fn trigger(&self) -> RouterTrigger {
-        RouterTrigger {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Blocks until the router has drained.
-    ///
-    /// # Errors
-    ///
-    /// Propagates accept-loop failures.
-    pub fn wait(mut self) -> io::Result<()> {
-        self.join_all()
-    }
-
-    /// [`RouterHandle::shutdown`] followed by [`RouterHandle::wait`].
-    ///
-    /// # Errors
-    ///
-    /// As [`RouterHandle::wait`].
-    pub fn shutdown_and_wait(self) -> io::Result<()> {
-        self.shutdown();
-        self.wait()
-    }
-
-    fn join_all(&mut self) -> io::Result<()> {
-        let outcome = match self.accept_thread.take() {
-            Some(t) => t
-                .join()
-                .map_err(|_| io::Error::other("router accept thread panicked"))?,
-            None => Ok(()),
-        };
-        if let Some(p) = self.prober.take() {
-            let _ = p.join();
-        }
-        outcome
-    }
-}
-
-/// A clonable shutdown trigger detached from the [`RouterHandle`].
-#[derive(Clone)]
-pub struct RouterTrigger {
-    shared: Arc<RouterShared>,
-}
-
-impl RouterTrigger {
-    /// Triggers graceful router shutdown (idempotent).
-    pub fn shutdown(&self) {
-        self.shared.begin_shutdown();
-    }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.shared.begin_shutdown();
-            let _ = self.join_all();
-        }
+    fn dispatch(&self, request: Request, call: Call<'_>) {
+        let origin = call.origin;
+        call.answer(route_request(self, request, origin));
     }
 }
 
@@ -699,28 +583,29 @@ pub fn start(config: RouterConfig) -> io::Result<RouterHandle> {
             "router needs at least one --replica",
         ));
     }
-    let listener = TcpListener::bind(&config.addr)?;
-    let local_addr = listener.local_addr()?;
+    let (listener, front) = Front::bind(
+        &config.addr,
+        config.timeout_ms,
+        config.max_frame_bytes,
+        Tracer::new(
+            protocol::OPS,
+            config.flight_recorder_len,
+            config.slow_ms,
+            config.trace,
+        ),
+    )?;
     let ring = Ring::new(&config.replicas, &config.ring);
-    let tracer = Arc::new(Tracer::new(
-        protocol::OPS,
-        config.flight_recorder_len,
-        config.slow_ms,
-        config.trace,
-    ));
     let nodes = config
         .replicas
         .iter()
         .map(|addr| Node::new(addr.clone()))
         .collect();
-    let shared = Arc::new(RouterShared {
+    let router = Arc::new(Router {
+        front,
         config,
         ring,
         nodes,
         mutation_lock: PlMutex::new(()),
-        tracer,
-        local_addr,
-        shutting_down: AtomicBool::new(false),
         failovers: AtomicU64::new(0),
         quorum_mismatches: AtomicU64::new(0),
         sheds: AtomicU64::new(0),
@@ -728,31 +613,24 @@ pub fn start(config: RouterConfig) -> io::Result<RouterHandle> {
         next_wseq: AtomicU64::new(1),
     });
 
-    let prober_shared = Arc::clone(&shared);
+    let prober_router = Arc::clone(&router);
     let prober = thread::Builder::new()
         .name("pc-ring-probe".to_string())
-        .spawn(move || probe_loop(prober_shared))?;
-
-    let accept_shared = Arc::clone(&shared);
-    let accept_thread = thread::Builder::new()
-        .name("pc-route-accept".to_string())
-        .spawn(move || accept_loop(listener, accept_shared))?;
-
-    Ok(RouterHandle {
-        shared,
-        accept_thread: Some(accept_thread),
-        prober: Some(prober),
+        .spawn(move || probe_loop(prober_router))?;
+    conn::spawn(listener, router, move || {
+        let _ = prober.join();
+        Ok(())
     })
 }
 
 /// The health prober: pings every replica each tick (down replicas on a
 /// capped-exponential backoff), heals the ones that earn rejoin.
-fn probe_loop(shared: Arc<RouterShared>) {
+fn probe_loop(shared: Arc<Router>) {
     let tick = shared.config.probe_interval_ms.max(1);
     // Per-node countdown until the next probe, in milliseconds. Down
     // replicas get their backoff written here; live ones probe every tick.
     let mut next_probe_ms: Vec<u64> = shared.nodes.iter().map(|_| 0).collect();
-    while !shared.shutting_down.load(Ordering::SeqCst) {
+    while !shared.front.shutting_down() {
         thread::sleep(Duration::from_millis(tick));
         for (idx, node) in shared.nodes.iter().enumerate() {
             let Some(slot) = next_probe_ms.get_mut(idx) else {
@@ -784,132 +662,15 @@ fn probe_loop(shared: Arc<RouterShared>) {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<RouterShared>) -> io::Result<()> {
-    let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
-    let mut conn_streams: Vec<TcpStream> = Vec::new();
-    let mut next_conn = 0u64;
-    loop {
-        let (stream, _peer) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) if shared.shutting_down.load(Ordering::SeqCst) => break,
-            Err(_) => continue,
-        };
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        counter!("service.conn.accepted").incr();
-        conn_streams.push(stream.try_clone()?);
-        let conn_shared = Arc::clone(&shared);
-        let id = next_conn;
-        next_conn += 1;
-        conn_threads.push(
-            thread::Builder::new()
-                .name(format!("pc-route-conn-{id}"))
-                .spawn(move || serve_connection(stream, conn_shared, id))?,
-        );
-    }
-    for stream in &conn_streams {
-        let _ = stream.shutdown(Shutdown::Both);
-    }
-    for t in conn_threads {
-        let _ = t.join();
-    }
-    counter!("service.shutdown.drained").incr();
-    Ok(())
-}
-
-/// One client connection: requests are handled serially (the router is
-/// I/O-bound; per-connection pipelining still overlaps across
-/// connections) and responses written in request order.
-fn serve_connection(stream: TcpStream, shared: Arc<RouterShared>, conn_id: u64) {
-    if let Some(ms) = shared.config.write_timeout_ms {
-        let _ = stream.set_write_timeout(Some(Duration::from_millis(ms)));
-    }
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut writer = BufWriter::new(write_half);
-    let mut reader = BufReader::new(stream);
-    loop {
-        let frame = {
-            let _span = pc_telemetry::time!("service.decode");
-            codec::read_frame(&mut reader, shared.config.max_frame_bytes)
-        };
-        let value = match frame {
-            Ok(value) => value,
-            Err(CodecError::Closed) => break,
-            Err(e) => {
-                counter!("service.decode.framing_errors").incr();
-                let _ = write_response(
-                    &mut writer,
-                    0,
-                    &Response::Error {
-                        message: e.to_string(),
-                    },
-                );
-                break;
-            }
-        };
-        let clock = shared.tracer.enabled().then(StageClock::start);
-        let (seq, request, wants_trace) = match protocol::decode_request_flags(&value) {
-            Ok(decoded) => decoded,
-            Err(e) => {
-                counter!("service.decode.bad_requests").incr();
-                let _ = write_response(
-                    &mut writer,
-                    0,
-                    &Response::Error {
-                        message: e.to_string(),
-                    },
-                );
-                continue;
-            }
-        };
-        let op = request.op();
-        count_request(op);
-        let decode_ns = clock.map_or(0, |c| c.elapsed_ns());
-        let mut trace = shared
-            .tracer
-            .begin(conn_id, seq, op, decode_ns, wants_trace);
-        // The origin id every replica forward carries for this request —
-        // identical to the router's own trace id, even when tracing is off.
-        let origin = trace_id(conn_id, seq);
-        let shutdown_after = matches!(request, Request::Shutdown);
-        let response = route_request(&shared, request, origin);
-        let response = apply_trace(&mut trace, response);
-        let ok = write_response(&mut writer, seq, &response).is_ok();
-        if let Some(mut tb) = trace {
-            tb.record_lap(Stage::Write);
-            shared.tracer.observe(tb.finish());
-        }
-        if ok {
-            counter!("service.responses").incr();
-        } else {
-            break;
-        }
-        if shutdown_after {
-            shared.begin_shutdown();
-            break;
-        }
-    }
-    counter!("service.conn.closed").incr();
-}
-
-fn write_response<W: std::io::Write>(w: &mut W, seq: u64, response: &Response) -> io::Result<()> {
-    let _span = pc_telemetry::time!("service.respond");
-    let frame = protocol::encode_response(seq, response);
-    codec::write_frame(w, &frame)
-}
-
 /// Dispatches one decoded request to the right routing path.
-fn route_request(shared: &RouterShared, request: Request, origin: u64) -> Response {
+fn route_request(shared: &Router, request: Request, origin: u64) -> Response {
     match request {
         Request::Ping => Response::Pong,
         Request::RingStatus => Response::RingStatus(shared.ring_status()),
-        Request::Metrics => Response::Metrics(shared.metrics()),
+        // The router has no submission queue and no store to degrade.
+        Request::Metrics => Response::Metrics(shared.front.metrics(0, false)),
         Request::TraceDump => Response::TraceDump {
-            traces: shared.trace_dump(),
+            traces: shared.front.trace_dump(),
         },
         Request::Shutdown => Response::ShuttingDown,
         Request::Replay { .. } => Response::Error {

@@ -1,45 +1,34 @@
-//! The TCP server: accept loop, per-connection reader/writer threads, and
-//! graceful drain-on-shutdown.
+//! The replica tier (`pc serve`): the fingerprint store behind the shared
+//! front end of [`crate::conn`], its dispatcher pool, and persistence.
 //!
-//! Thread anatomy of a running server:
+//! Connections submit `identify`, `characterize`, `cluster-ingest` and
+//! `replay` to the bounded [`SubmissionQueue`]; the dispatcher answers them
+//! through each connection's writer. `stats`, `save` and `ring-status` are
+//! answered on the connection thread, as are the requests every tier
+//! answers alike (`ping`, `metrics`, `trace-dump`, `shutdown`).
 //!
-//! ```text
-//! pc-accept ── spawns ──▶ pc-conn-N (reader)  ⇄  writer thread
-//!                                 │ try_submit
-//!                                 ▼
-//!                    SubmissionQueue (bounded)
-//!                                 │ pop_batch
-//!                         pc-dispatcher (plan → score → merge, mutations)
-//! ```
+//! Once the front end has drained its connections, the replica drains the
+//! queue (every already-admitted job still answers), joins the dispatcher,
+//! finishes a pending index rebuild, and persists the database + routing
+//! index (atomically, see [`probable_cause::persistence`]) if paths were
+//! configured.
 //!
-//! Shutdown can be triggered three ways — a `shutdown` request on any
-//! connection, [`ServerHandle::shutdown`], or dropping the handle — and is
-//! always graceful: the accept loop stops taking connections, every
-//! connection's read half is closed so no *new* requests arrive, the queue
-//! drains every already-admitted job (their responses still flow out through
-//! the per-connection writers), the dispatcher joins, and the
-//! database + routing index are persisted (atomically, see
-//! [`probable_cause::persistence`]) if paths were configured.
-//!
-//! Resilience: connections carry idle and per-frame read deadlines (the
-//! slow-loris defense) plus a write timeout; startup recovers from torn or
-//! corrupt files via `.bak` fallback and degraded-mode index rebuilds; the
-//! `save` request checkpoints durably while the server runs.
+//! Resilience: startup recovers from torn or corrupt files via `.bak`
+//! fallback and degraded-mode index rebuilds; the `save` request
+//! checkpoints durably while the server runs.
 
-use crate::codec::{self, CodecError, ReadGuard};
-use crate::pool::{apply_trace, Job, Outbound, Pool, PoolMetrics, SubmissionQueue, SubmitError};
-use crate::protocol::{self, MetricsBody, OpLatency, Request, Response, StatsBody, TraceRecord};
+use crate::codec;
+use crate::conn::{self, Call, Front, Handle, Tier};
+use crate::pool::{self, Job, Pool, PoolMetrics, Reply, SubmissionQueue, SubmitError};
+use crate::protocol::{self, Request, Response, StatsBody};
 use crate::store::{ShardedStore, StoreConfig};
 use pc_telemetry::counter;
-use pc_telemetry::trace::{Stage, StageClock, Tracer};
+use pc_telemetry::trace::Tracer;
 use probable_cause::persistence;
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::thread;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -61,15 +50,11 @@ pub struct ServerConfig {
     pub db_path: Option<PathBuf>,
     /// Routing-index file: loaded with the database, written at shutdown.
     pub index_path: Option<PathBuf>,
-    /// Per-connection idle deadline: a connection with no frame in flight
-    /// for this long is closed. `None` keeps idle connections open forever.
-    pub idle_timeout_ms: Option<u64>,
-    /// Per-frame completion deadline measured from a frame's first byte —
-    /// the slow-loris limit: a peer dripping bytes cannot hold a frame open
-    /// past this window. `None` disables the limit.
-    pub frame_timeout_ms: Option<u64>,
-    /// Socket write timeout for response frames.
-    pub write_timeout_ms: Option<u64>,
+    /// Connection deadline in milliseconds: both the per-frame completion
+    /// deadline, measured from a frame's first byte (the slow-loris limit:
+    /// a peer dripping bytes cannot hold a frame open past it), and the
+    /// socket write timeout for responses. `None` disables both.
+    pub timeout_ms: Option<u64>,
     /// Slow-request threshold in milliseconds: a traced request whose total
     /// latency meets or exceeds it logs a structured `slow_query` event and
     /// dumps the flight recorder. `None` disables the slow path.
@@ -96,9 +81,7 @@ impl Default for ServerConfig {
             retry_after_ms: 10,
             db_path: None,
             index_path: None,
-            idle_timeout_ms: None,
-            frame_timeout_ms: Some(30_000),
-            write_timeout_ms: Some(30_000),
+            timeout_ms: Some(30_000),
             slow_ms: None,
             flight_recorder_len: 64,
             trace: true,
@@ -107,40 +90,30 @@ impl Default for ServerConfig {
     }
 }
 
-impl ServerConfig {
-    fn read_guard(&self) -> ReadGuard {
-        ReadGuard {
-            idle_timeout: self.idle_timeout_ms.map(Duration::from_millis),
-            frame_timeout: self.frame_timeout_ms.map(Duration::from_millis),
-        }
+/// A handle to a running server (see [`Handle`]); [`ServerHandle::store`]
+/// reaches the store behind it.
+pub type ServerHandle = Handle<Replica>;
+
+impl Handle<Replica> {
+    /// The store behind the server (for tests and embedding).
+    pub fn store(&self) -> &Arc<ShardedStore> {
+        &self.tier.store
     }
 }
 
-/// State shared between the accept loop, connections, and the handle.
-struct Shared {
+/// A running replica's state, shared by its connections and its handle.
+pub struct Replica {
+    front: Arc<Front>,
     store: Arc<ShardedStore>,
     queue: Arc<SubmissionQueue>,
     config: ServerConfig,
-    local_addr: SocketAddr,
-    shutting_down: AtomicBool,
     pool_metrics: Arc<PoolMetrics>,
-    tracer: Arc<Tracer>,
     /// Serializes checkpoint saves: two connections issuing `save` at once
     /// must not interleave writes to the same temp file.
     save_lock: Mutex<()>,
 }
 
-impl Shared {
-    /// Idempotently triggers shutdown and wakes the blocking accept call.
-    fn begin_shutdown(&self) {
-        if !self.shutting_down.swap(true, Ordering::SeqCst) {
-            counter!("service.shutdown.triggered").incr();
-            // accept() has no timeout in std; a throwaway connection wakes it
-            // so it can observe the flag.
-            let _ = TcpStream::connect(self.local_addr);
-        }
-    }
-
+impl Replica {
     fn stats(&self) -> StatsBody {
         StatsBody {
             fingerprints: self.store.len() as u64,
@@ -154,56 +127,6 @@ impl Shared {
         }
     }
 
-    /// Live serving metrics: per-op latency quantiles for every op that has
-    /// seen traffic, plus queue depth, slow-request count, and degraded flag.
-    fn metrics(&self) -> MetricsBody {
-        let ops = self
-            .tracer
-            .snapshot()
-            .into_iter()
-            .filter_map(|(op, snap)| {
-                if snap.count() == 0 {
-                    return None;
-                }
-                let max_ns = snap.max().unwrap_or(0);
-                Some(OpLatency {
-                    op: op.to_string(),
-                    count: snap.count(),
-                    p50_ns: snap.quantile(0.50).unwrap_or(max_ns),
-                    p90_ns: snap.quantile(0.90).unwrap_or(max_ns),
-                    p99_ns: snap.quantile(0.99).unwrap_or(max_ns),
-                    max_ns,
-                })
-            })
-            .collect();
-        MetricsBody {
-            ops,
-            queue_depth: self.queue.depth() as u64,
-            slow_requests: self.tracer.slow_requests(),
-            degraded: self.store.degraded(),
-        }
-    }
-
-    /// The flight recorder's contents as wire records, oldest first.
-    fn trace_dump(&self) -> Vec<TraceRecord> {
-        self.tracer
-            .recent_traces()
-            .into_iter()
-            .map(|t| TraceRecord {
-                trace_id: t.trace_id,
-                op: t.op.to_string(),
-                seq: t.seq,
-                decode_ns: t.stage_ns(Stage::Decode),
-                queue_wait_ns: t.stage_ns(Stage::QueueWait),
-                score_ns: t.stage_ns(Stage::Score),
-                encode_ns: t.stage_ns(Stage::Encode),
-                write_ns: t.stage_ns(Stage::Write),
-                total_ns: t.total_ns,
-                slow: t.slow,
-            })
-            .collect()
-    }
-
     /// This replica's self view for a `ring-status` request: identity only;
     /// ring geometry and health live in the routing tier.
     fn ring_status(&self) -> protocol::RingStatusBody {
@@ -213,7 +136,7 @@ impl Shared {
                 .config
                 .replica_id
                 .clone()
-                .unwrap_or_else(|| self.local_addr.to_string()),
+                .unwrap_or_else(|| self.front.local_addr.to_string()),
             ..protocol::RingStatusBody::default()
         }
     }
@@ -230,86 +153,110 @@ impl Shared {
             self.config.index_path.as_deref(),
         )
     }
-}
 
-/// A handle to a running server.
-///
-/// Dropping the handle shuts the server down and blocks until it has
-/// drained; call [`ServerHandle::shutdown`] +
-/// [`ServerHandle::wait`] to do the same explicitly and observe errors.
-pub struct ServerHandle {
-    shared: Arc<Shared>,
-    accept_thread: Option<JoinHandle<io::Result<()>>>,
-}
-
-impl ServerHandle {
-    /// The bound address (resolves port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
-    }
-
-    /// The store behind the server (for tests and embedding).
-    pub fn store(&self) -> &Arc<ShardedStore> {
-        &self.shared.store
-    }
-
-    /// Triggers graceful shutdown without waiting.
-    pub fn shutdown(&self) {
-        self.shared.begin_shutdown();
-    }
-
-    /// A detached trigger that can shut the server down from another thread
-    /// while this handle is blocked in [`ServerHandle::wait`].
-    pub fn trigger(&self) -> ShutdownTrigger {
-        ShutdownTrigger(Arc::clone(&self.shared))
-    }
-
-    /// Blocks until the server has fully drained and persisted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates persistence failures from the teardown path.
-    pub fn wait(mut self) -> io::Result<()> {
-        self.join_accept()
-    }
-
-    /// [`ServerHandle::shutdown`] followed by [`ServerHandle::wait`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates persistence failures from the teardown path.
-    pub fn shutdown_and_wait(self) -> io::Result<()> {
-        self.shutdown();
-        self.wait()
-    }
-
-    fn join_accept(&mut self) -> io::Result<()> {
-        match self.accept_thread.take() {
-            Some(t) => t
-                .join()
-                .map_err(|_| io::Error::other("accept thread panicked"))?,
-            None => Ok(()),
-        }
+    /// Admits a job or answers the backpressure/shutdown refusal inline. A
+    /// refused job's stage timer still rides out with the refusal, so `busy`
+    /// responses are traced too.
+    fn submit(&self, reply: &Reply, seq: u64, job: Job) {
+        let (job, response) = match self.queue.try_submit(job) {
+            Ok(()) => return,
+            Err(SubmitError::Full(job)) => (
+                job,
+                Response::Busy {
+                    retry_after_ms: self.config.retry_after_ms,
+                },
+            ),
+            Err(SubmitError::Closed(job)) => (
+                job,
+                Response::Error {
+                    message: "server is shutting down".to_string(),
+                },
+            ),
+        };
+        pool::answer(reply, seq, job.into_trace(), response);
     }
 }
 
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.shared.begin_shutdown();
-            let _ = self.join_accept();
-        }
+impl Tier for Replica {
+    const THREADS: &'static str = "pc";
+
+    fn front(&self) -> &Arc<Front> {
+        &self.front
     }
-}
 
-/// A clonable shutdown trigger detached from the owning [`ServerHandle`].
-#[derive(Clone)]
-pub struct ShutdownTrigger(Arc<Shared>);
-
-impl ShutdownTrigger {
-    /// Triggers graceful shutdown without waiting.
-    pub fn shutdown(&self) {
-        self.0.begin_shutdown();
+    fn dispatch(&self, request: Request, call: Call<'_>) {
+        let Call {
+            seq,
+            wseq,
+            trace,
+            reply,
+            ..
+        } = call;
+        let response = match request {
+            Request::Identify { errors } => {
+                let job = Job::Identify {
+                    seq,
+                    errors,
+                    reply: reply.clone(),
+                    trace,
+                };
+                return self.submit(reply, seq, job);
+            }
+            Request::Characterize { label, errors } => {
+                let job = Job::Characterize {
+                    seq,
+                    label,
+                    errors,
+                    reply: reply.clone(),
+                    trace,
+                    wseq,
+                };
+                return self.submit(reply, seq, job);
+            }
+            Request::ClusterIngest { errors } => {
+                let job = Job::ClusterIngest {
+                    seq,
+                    errors,
+                    reply: reply.clone(),
+                    trace,
+                    wseq,
+                };
+                return self.submit(reply, seq, job);
+            }
+            Request::Replay { entries } => {
+                let job = Job::Replay {
+                    seq,
+                    entries,
+                    reply: reply.clone(),
+                    trace,
+                };
+                return self.submit(reply, seq, job);
+            }
+            Request::Ping => Response::Pong,
+            Request::Stats => Response::Stats(self.stats()),
+            Request::Metrics => Response::Metrics(
+                self.front
+                    .metrics(self.queue.depth() as u64, self.store.degraded()),
+            ),
+            Request::TraceDump => Response::TraceDump {
+                traces: self.front.trace_dump(),
+            },
+            // Handled inline on the connection thread: a save is a
+            // durability checkpoint, and the acknowledgement must mean
+            // "the rename landed", not "the job was queued".
+            Request::Save => match self.save() {
+                Ok(fingerprints) => Response::Saved { fingerprints },
+                Err(e) => {
+                    counter!("service.save.failed").incr();
+                    Response::Error {
+                        message: format!("save failed: {e}"),
+                    }
+                }
+            },
+            Request::RingStatus => Response::RingStatus(self.ring_status()),
+            Request::Shutdown => Response::ShuttingDown,
+        };
+        pool::answer(reply, seq, trace, response);
     }
 }
 
@@ -334,40 +281,41 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
             .name("pc-rebuild".to_string())
             .spawn(move || rebuild_store.build_index())?;
     }
-    let listener = TcpListener::bind(&config.addr)?;
-    let local_addr = listener.local_addr()?;
+    let (listener, front) = Front::bind(
+        &config.addr,
+        config.timeout_ms,
+        config.max_frame_bytes,
+        Tracer::new(
+            protocol::OPS,
+            config.flight_recorder_len,
+            config.slow_ms,
+            config.trace,
+        ),
+    )?;
     let queue = Arc::new(SubmissionQueue::new(config.queue_capacity));
-    let tracer = Arc::new(Tracer::new(
-        protocol::OPS,
-        config.flight_recorder_len,
-        config.slow_ms,
-        config.trace,
-    ));
     let pool = Pool::spawn(
         Arc::clone(&store),
         Arc::clone(&queue),
         config.batch_size,
-        Arc::clone(&tracer),
+        Arc::clone(&front.tracer),
     );
-    let shared = Arc::new(Shared {
+    let replica = Arc::new(Replica {
+        front,
         store,
         queue,
         config,
-        local_addr,
-        shutting_down: AtomicBool::new(false),
         pool_metrics: pool.metrics(),
-        tracer,
         save_lock: Mutex::new(()),
     });
-
-    let accept_shared = Arc::clone(&shared);
-    let accept_thread = thread::Builder::new()
-        .name("pc-accept".to_string())
-        .spawn(move || accept_loop(listener, accept_shared, pool))?;
-
-    Ok(ServerHandle {
-        shared,
-        accept_thread: Some(accept_thread),
+    let drained = Arc::clone(&replica);
+    conn::spawn(listener, replica, move || {
+        pool.drain_and_join();
+        // If a background rebuild never finished, finish it now: the index
+        // file written below must cover every entry.
+        if drained.store.degraded() && drained.config.index_path.is_some() {
+            drained.store.build_index();
+        }
+        drained.save().map(drop)
     })
 }
 
@@ -413,361 +361,4 @@ fn load_store(config: &ServerConfig) -> io::Result<ShardedStore> {
         config.store.clone(),
         db.value,
     ))
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, pool: Pool) -> io::Result<()> {
-    let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
-    let mut conn_streams: Vec<TcpStream> = Vec::new();
-    let mut next_conn = 0u64;
-    loop {
-        let (stream, _peer) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) if shared.shutting_down.load(Ordering::SeqCst) => break,
-            Err(_) => continue,
-        };
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break; // the wake-up connection, or a late client
-        }
-        counter!("service.conn.accepted").incr();
-        conn_streams.push(stream.try_clone()?);
-        let conn_shared = Arc::clone(&shared);
-        let id = next_conn;
-        next_conn += 1;
-        conn_threads.push(
-            thread::Builder::new()
-                .name(format!("pc-conn-{id}"))
-                .spawn(move || serve_connection(stream, conn_shared, id))?,
-        );
-    }
-
-    // Teardown. Closing read halves stops connections from admitting new
-    // work; responses for already-admitted jobs still flow out through the
-    // per-connection writer threads, which the reader threads join.
-    for stream in &conn_streams {
-        let _ = stream.shutdown(Shutdown::Read);
-    }
-    for t in conn_threads {
-        let _ = t.join();
-    }
-    pool.drain_and_join();
-
-    // If a background rebuild never finished, finish it now: the index file
-    // written below must cover every entry.
-    if shared.store.degraded() && shared.config.index_path.is_some() {
-        shared.store.build_index();
-    }
-    shared.save()?;
-    counter!("service.shutdown.drained").incr();
-    Ok(())
-}
-
-fn serve_connection(stream: TcpStream, shared: Arc<Shared>, conn_id: u64) {
-    let guard = shared.config.read_guard();
-    if guard.is_active() {
-        // The socket's read timeout is the guard's polling tick, not the
-        // deadline itself: each timeout wakes the guarded read to check its
-        // idle/frame clocks.
-        let _ = stream.set_read_timeout(Some(guard.tick()));
-    }
-    if let Some(ms) = shared.config.write_timeout_ms {
-        let _ = stream.set_write_timeout(Some(Duration::from_millis(ms)));
-    }
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let (reply_tx, reply_rx) = mpsc::channel::<Outbound>();
-    let writer_tracer = Arc::clone(&shared.tracer);
-    let writer_thread = thread::spawn(move || write_loop(write_half, reply_rx, writer_tracer));
-
-    let mut reader = BufReader::new(stream);
-    loop {
-        let frame = {
-            let _span = pc_telemetry::time!("service.decode");
-            if pc_faults::fail_point("wire.read") {
-                // A read-side fault is an incident: capture the traces that
-                // led up to it before the connection dies.
-                shared.tracer.dump("fault_injected");
-                Err(CodecError::Io(pc_faults::injected_io("wire.read")))
-            } else {
-                codec::read_frame_guarded(&mut reader, shared.config.max_frame_bytes, guard)
-            }
-        };
-        let value = match frame {
-            Ok(value) => value,
-            Err(CodecError::Closed) => break,
-            Err(CodecError::Idle) => {
-                // A quiet connection is not an error; just hang up.
-                counter!("service.conn.idle_closed").incr();
-                break;
-            }
-            Err(e) => {
-                // Framing is unrecoverable mid-stream: report and hang up.
-                counter!("service.decode.framing_errors").incr();
-                let _ = reply_tx.send(Outbound::new(
-                    0,
-                    Response::Error {
-                        message: e.to_string(),
-                    },
-                ));
-                break;
-            }
-        };
-        // The decode clock only runs when tracing is live: a disabled tracer
-        // keeps the request path free of clock reads.
-        let clock = shared.tracer.enabled().then(StageClock::start);
-        let (seq, request, wants_trace, origin, wseq) =
-            match protocol::decode_request_routed(&value) {
-                Ok(decoded) => decoded,
-                Err(e) => {
-                    // The frame boundary held, so the connection survives a
-                    // malformed request; seq 0 marks an uncorrelated error.
-                    counter!("service.decode.bad_requests").incr();
-                    let _ = reply_tx.send(Outbound::new(
-                        0,
-                        Response::Error {
-                            message: e.to_string(),
-                        },
-                    ));
-                    continue;
-                }
-            };
-        let op = request.op();
-        count_request(op);
-        let decode_ns = clock.map_or(0, |c| c.elapsed_ns());
-        // A forwarded frame carries the router-assigned trace id; adopting
-        // it makes replica flight-recorder entries greppable by the id the
-        // routing tier reported.
-        let mut trace = match origin {
-            Some(id) => shared
-                .tracer
-                .begin_forwarded(id, seq, op, decode_ns, wants_trace),
-            None => shared
-                .tracer
-                .begin(conn_id, seq, op, decode_ns, wants_trace),
-        };
-        match request {
-            Request::Ping => {
-                let response = apply_trace(&mut trace, Response::Pong);
-                let _ = reply_tx.send(Outbound {
-                    seq,
-                    response,
-                    trace,
-                });
-            }
-            Request::Stats => {
-                let response = apply_trace(&mut trace, Response::Stats(shared.stats()));
-                let _ = reply_tx.send(Outbound {
-                    seq,
-                    response,
-                    trace,
-                });
-            }
-            Request::Metrics => {
-                let response = apply_trace(&mut trace, Response::Metrics(shared.metrics()));
-                let _ = reply_tx.send(Outbound {
-                    seq,
-                    response,
-                    trace,
-                });
-            }
-            Request::TraceDump => {
-                let response = apply_trace(
-                    &mut trace,
-                    Response::TraceDump {
-                        traces: shared.trace_dump(),
-                    },
-                );
-                let _ = reply_tx.send(Outbound {
-                    seq,
-                    response,
-                    trace,
-                });
-            }
-            Request::Save => {
-                // Handled inline on the connection thread: a save is a
-                // durability checkpoint, and the acknowledgement must mean
-                // "the rename landed", not "the job was queued".
-                let response = match shared.save() {
-                    Ok(fingerprints) => Response::Saved { fingerprints },
-                    Err(e) => {
-                        counter!("service.save.failed").incr();
-                        Response::Error {
-                            message: format!("save failed: {e}"),
-                        }
-                    }
-                };
-                let response = apply_trace(&mut trace, response);
-                let _ = reply_tx.send(Outbound {
-                    seq,
-                    response,
-                    trace,
-                });
-            }
-            Request::RingStatus => {
-                let response = apply_trace(&mut trace, Response::RingStatus(shared.ring_status()));
-                let _ = reply_tx.send(Outbound {
-                    seq,
-                    response,
-                    trace,
-                });
-            }
-            Request::Shutdown => {
-                let response = apply_trace(&mut trace, Response::ShuttingDown);
-                let _ = reply_tx.send(Outbound {
-                    seq,
-                    response,
-                    trace,
-                });
-                shared.begin_shutdown();
-                break;
-            }
-            Request::Identify { errors } => submit(
-                &shared,
-                &reply_tx,
-                seq,
-                Job::Identify {
-                    seq,
-                    errors,
-                    reply: reply_tx.clone(),
-                    trace,
-                },
-            ),
-            Request::Characterize { label, errors } => submit(
-                &shared,
-                &reply_tx,
-                seq,
-                Job::Characterize {
-                    seq,
-                    label,
-                    errors,
-                    reply: reply_tx.clone(),
-                    trace,
-                    wseq,
-                },
-            ),
-            Request::ClusterIngest { errors } => submit(
-                &shared,
-                &reply_tx,
-                seq,
-                Job::ClusterIngest {
-                    seq,
-                    errors,
-                    reply: reply_tx.clone(),
-                    trace,
-                    wseq,
-                },
-            ),
-            Request::Replay { entries } => submit(
-                &shared,
-                &reply_tx,
-                seq,
-                Job::Replay {
-                    seq,
-                    entries,
-                    reply: reply_tx.clone(),
-                    trace,
-                },
-            ),
-        }
-    }
-
-    // Dropping our sender lets the writer exit once any in-flight jobs have
-    // delivered their responses through their own clones.
-    drop(reply_tx);
-    let _ = writer_thread.join();
-    counter!("service.conn.closed").incr();
-}
-
-/// Per-op request counters (the `counter!` macro needs literal names).
-/// Shared with the router tier, which serves the same op set.
-pub(crate) fn count_request(op: &str) {
-    match op {
-        "ping" => counter!("service.requests.ping").incr(),
-        "identify" => counter!("service.requests.identify").incr(),
-        "characterize" => counter!("service.requests.characterize").incr(),
-        "cluster-ingest" => counter!("service.requests.cluster_ingest").incr(),
-        "stats" => counter!("service.requests.stats").incr(),
-        "metrics" => counter!("service.requests.metrics").incr(),
-        "trace-dump" => counter!("service.requests.trace_dump").incr(),
-        "save" => counter!("service.requests.save").incr(),
-        "ring-status" => counter!("service.requests.ring_status").incr(),
-        "replay" => counter!("service.requests.replay").incr(),
-        _ => counter!("service.requests.shutdown").incr(),
-    }
-}
-
-/// Admits a job or answers the backpressure/shutdown refusal inline. A
-/// refused job's stage timer still rides out with the refusal, so `busy`
-/// responses are traced too.
-fn submit(shared: &Shared, reply: &mpsc::Sender<Outbound>, seq: u64, job: Job) {
-    match shared.queue.try_submit(job) {
-        Ok(()) => {}
-        Err(SubmitError::Full(job)) => {
-            let mut trace = job.into_trace();
-            let response = apply_trace(
-                &mut trace,
-                Response::Busy {
-                    retry_after_ms: shared.config.retry_after_ms,
-                },
-            );
-            let _ = reply.send(Outbound {
-                seq,
-                response,
-                trace,
-            });
-        }
-        Err(SubmitError::Closed(job)) => {
-            let mut trace = job.into_trace();
-            let response = apply_trace(
-                &mut trace,
-                Response::Error {
-                    message: "server is shutting down".to_string(),
-                },
-            );
-            let _ = reply.send(Outbound {
-                seq,
-                response,
-                trace,
-            });
-        }
-    }
-}
-
-fn write_loop(stream: TcpStream, replies: mpsc::Receiver<Outbound>, tracer: Arc<Tracer>) {
-    let mut w = BufWriter::new(&stream);
-    while let Ok(out) = replies.recv() {
-        let Outbound {
-            seq,
-            response,
-            mut trace,
-        } = out;
-        let _span = pc_telemetry::time!("service.respond");
-        let frame = protocol::encode_response(seq, &response);
-        if let Some(tb) = trace.as_deref_mut() {
-            // Everything since the score lap — writer-queue wait plus the
-            // encode itself — is the encode stage.
-            tb.record_lap(Stage::Encode);
-        }
-        // An injected wire.write fault drops the connection exactly as a
-        // failed send would: the peer never sees this acknowledgement.
-        let fault = pc_faults::fail_point("wire.write");
-        if fault {
-            tracer.dump("fault_injected");
-        }
-        let failed = fault || codec::write_frame(&mut w, &frame).is_err();
-        if failed {
-            // The peer is gone; unblock our reader too and bail.
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-        if let Some(mut tb) = trace {
-            // write_frame flushes per frame, so this lap covers the real
-            // socket write.
-            tb.record_lap(Stage::Write);
-            tracer.observe(tb.finish());
-        }
-        counter!("service.responses").incr();
-    }
-    let _ = w.flush();
 }

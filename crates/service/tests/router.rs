@@ -2,8 +2,8 @@
 //! fanned writes, transparent failover around a dead replica, journal
 //! replay healing a replica that restarted empty, replay dedup for a
 //! replica that never lost state, retraction of zero-ack writes, router
-//! auto-checkpoints, quorum shedding, and deterministic `ring.forward`
-//! fault injection.
+//! auto-checkpoints, quorum shedding, deterministic `ring.forward` fault
+//! injection, the client-connection frame deadline, and graceful drain.
 //!
 //! The fault registry is process-wide, so the fault test serializes on a
 //! mutex shared with nothing else in this binary — but kept anyway so
@@ -15,6 +15,8 @@ use pc_service::router::{self, RouterConfig};
 use pc_service::server::{self, ServerConfig};
 use pc_service::ServiceClient;
 use probable_cause::ErrorString;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -506,4 +508,87 @@ fn forward_faults_fail_over_deterministically() {
     for replica in replicas {
         replica.shutdown_and_wait().unwrap();
     }
+}
+
+#[test]
+fn stalled_frame_is_cut_off_by_the_frame_deadline() {
+    let _serial = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let replica = server::start(ServerConfig {
+        timeout_ms: Some(300),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let rt = router::start(RouterConfig {
+        replicas: vec![replica.local_addr().to_string()],
+        timeout_ms: Some(300),
+        ..RouterConfig::default()
+    })
+    .unwrap();
+
+    for (tier, addr) in [
+        ("router", rt.local_addr()),
+        ("replica", replica.local_addr()),
+    ] {
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+        // Two of a frame's four length-prefix bytes, then silence.
+        raw.write_all(&[0, 0]).unwrap();
+        let mut answer = Vec::new();
+        raw.read_to_end(&mut answer)
+            .unwrap_or_else(|e| panic!("the {tier} kept a stalled frame open: {e}"));
+        // An error frame before the close is optional; nothing else is.
+        if !answer.is_empty() {
+            let frame = pc_service::read_frame(&mut answer.as_slice(), 1 << 20).unwrap();
+            match pc_service::decode_response(&frame).unwrap() {
+                (0, Response::Error { .. }) => {}
+                other => panic!("the {tier} answered a stalled frame with {other:?}"),
+            }
+        }
+    }
+
+    rt.shutdown_and_wait().unwrap();
+    replica.shutdown_and_wait().unwrap();
+}
+
+#[test]
+fn router_shutdown_lets_an_in_flight_answer_out() {
+    let _serial = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let a = start_replica();
+    let b = start_replica();
+    let rt = router_over(
+        vec![a.local_addr().to_string(), b.local_addr().to_string()],
+        false,
+    );
+    let addr = rt.local_addr();
+    let mut seeder = ServiceClient::connect(addr).unwrap();
+    characterize(&mut seeder, 0);
+
+    // The next replica forward stalls for 500 ms before it is sent.
+    let _armed = Armed::install("seed=1;ring.forward=n1:stall500");
+    let injector = pc_faults::active().unwrap();
+    let in_flight = std::thread::spawn(move || {
+        ServiceClient::connect(addr)
+            .unwrap()
+            .call(&Request::Identify {
+                errors: es(&chip_bits(0)),
+            })
+    });
+    // The fault has fired once the identify is inside its stall.
+    assert!(
+        wait_until(10, || injector.total_fired() == 1),
+        "the identify never reached its forward"
+    );
+    let mut stopper = ServiceClient::connect(addr).unwrap();
+    assert!(matches!(
+        stopper.call(&Request::Shutdown).unwrap(),
+        Response::ShuttingDown
+    ));
+
+    match in_flight.join().unwrap() {
+        Ok(Response::Match { label, .. }) => assert_eq!(label, "chip-000"),
+        other => panic!("the in-flight identify must still be answered, got {other:?}"),
+    }
+    rt.wait().unwrap();
+    a.shutdown_and_wait().unwrap();
+    b.shutdown_and_wait().unwrap();
 }

@@ -162,8 +162,8 @@ proptest! {
         write_frame(&mut wire, &encode_request_with(seq, &request, traced)).expect("vec write");
         let frame = read_frame(&mut wire.as_slice(), MAX_FRAME_BYTES).expect("own frame parses");
         prop_assert_eq!(
-            pc_service::protocol::decode_request_flags(&frame),
-            Ok((seq, request, traced))
+            pc_service::protocol::decode_request_routed(&frame),
+            Ok((seq, request, traced, None, None))
         );
     }
 

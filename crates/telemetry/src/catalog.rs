@@ -47,12 +47,10 @@ pub const COUNTERS: &[&str] = &[
     "service.codec.bytes_out",
     "service.codec.frames_in",
     "service.codec.frames_out",
-    "service.codec.idle_timeouts",
     "service.codec.rejected_oversize",
     "service.codec.stalled_frames",
     "service.conn.accepted",
     "service.conn.closed",
-    "service.conn.idle_closed",
     "service.decode.bad_requests",
     "service.decode.framing_errors",
     "service.dispatch.batches",

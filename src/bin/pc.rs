@@ -100,6 +100,7 @@ use probable_cause_repro::core::persistence::{load_db_from_path, save_db_to_path
 use probable_cause_repro::core::{characterize, ErrorString, FingerprintDb, PcDistance};
 use probable_cause_repro::image::read_pgm;
 use probable_cause_repro::prelude::*;
+use probable_cause_repro::service::conn::Handle;
 use probable_cause_repro::service::protocol::{Request, Response};
 use probable_cause_repro::service::server::{self, ServerConfig};
 use probable_cause_repro::service::{
@@ -373,6 +374,92 @@ fn cmd_identify(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The flags `serve` and `route` share, as given on the command line.
+struct FrontFlags {
+    slow_ms: Option<String>,
+    recorder_len: Option<String>,
+    no_trace: bool,
+    faults: Option<String>,
+    watch_stdin: bool,
+}
+
+impl FrontFlags {
+    fn take(args: &[String]) -> Result<(Self, Vec<String>), String> {
+        let (slow_ms, rest) = take_optional_flag(args, "--slow-ms")?;
+        let (recorder_len, rest) = take_optional_flag(&rest, "--flight-recorder-len")?;
+        let (no_trace, rest) = take_switch(&rest, "--no-trace");
+        let (faults, rest) = take_optional_flag(&rest, "--faults")?;
+        let (watch_stdin, rest) = take_switch(&rest, "--watch-stdin");
+        let flags = FrontFlags {
+            slow_ms,
+            recorder_len,
+            no_trace,
+            faults,
+            watch_stdin,
+        };
+        Ok((flags, rest))
+    }
+
+    /// Arms `--faults`, if given.
+    fn arm_faults(&self) -> Result<(), String> {
+        if let Some(spec) = &self.faults {
+            let plan = probable_cause_repro::faults::FaultPlan::parse(spec)
+                .map_err(|e| format!("bad --faults {spec:?}: {e}"))?;
+            probable_cause_repro::faults::install(plan);
+            println!("fault injection armed: {spec}");
+        }
+        Ok(())
+    }
+
+    /// Applies the tracer flags to a tier's config fields. `--slow-ms`
+    /// wins over the `PC_SLOW_MS` environment fallback.
+    fn apply_tracing(
+        &self,
+        slow_ms: &mut Option<u64>,
+        flight_recorder_len: &mut usize,
+        trace: &mut bool,
+    ) -> Result<(), String> {
+        if let Some(ms) = self
+            .slow_ms
+            .clone()
+            .or_else(|| std::env::var("PC_SLOW_MS").ok())
+        {
+            *slow_ms = Some(ms.parse().map_err(|_| format!("bad --slow-ms {ms:?}"))?);
+        }
+        if let Some(n) = &self.recorder_len {
+            *flight_recorder_len = n
+                .parse()
+                .map_err(|_| format!("bad --flight-recorder-len {n:?}"))?;
+        }
+        *trace = !self.no_trace;
+        Ok(())
+    }
+
+    /// Runs a started tier until it has drained: with `--watch-stdin`, a
+    /// closed stdin (e.g. the launching pipe ends) stops it gracefully.
+    fn run_until_drained<S>(
+        &self,
+        handle: Handle<S>,
+        tier: &str,
+        name: &str,
+    ) -> Result<(), String> {
+        if self.watch_stdin {
+            let trigger = handle.trigger();
+            std::thread::spawn(move || {
+                let mut sink = [0u8; 256];
+                let mut stdin = std::io::stdin();
+                while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
+                trigger.shutdown();
+            });
+        }
+        handle
+            .wait()
+            .map_err(|e| format!("{tier} teardown failed: {e}"))?;
+        println!("{name} drained and stopped");
+        Ok(())
+    }
+}
+
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let (addr, rest) = take_optional_flag(args, "--addr")?;
     let (db_path, rest) = take_optional_flag(&rest, "--db")?;
@@ -380,22 +467,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let (queue_capacity, rest) = take_optional_flag(&rest, "--queue-capacity")?;
     let (threshold, rest) = take_optional_flag(&rest, "--threshold")?;
     let (timeout_ms, rest) = take_optional_flag(&rest, "--timeout-ms")?;
-    let (slow_ms, rest) = take_optional_flag(&rest, "--slow-ms")?;
-    let (recorder_len, rest) = take_optional_flag(&rest, "--flight-recorder-len")?;
-    let (no_trace, rest) = take_switch(&rest, "--no-trace");
-    let (faults, rest) = take_optional_flag(&rest, "--faults")?;
-    let (watch_stdin, rest) = take_switch(&rest, "--watch-stdin");
+    let (front, rest) = FrontFlags::take(&rest)?;
     let (replica_id, rest) = take_optional_flag(&rest, "--replica-id")?;
     if let Some(extra) = rest.first() {
         return Err(format!("serve does not take {extra:?}"));
     }
-
-    if let Some(spec) = faults {
-        let plan = probable_cause_repro::faults::FaultPlan::parse(&spec)
-            .map_err(|e| format!("bad --faults {spec:?}: {e}"))?;
-        probable_cause_repro::faults::install(plan);
-        println!("fault injection armed: {spec}");
-    }
+    front.arm_faults()?;
 
     let mut store = StoreConfig::default();
     if let Some(t) = threshold {
@@ -419,20 +496,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .map_err(|_| format!("bad --queue-capacity {n:?}"))?;
     }
     if let Some(ms) = timeout_ms {
-        let ms: u64 = ms.parse().map_err(|_| format!("bad --timeout-ms {ms:?}"))?;
-        config.frame_timeout_ms = Some(ms);
-        config.write_timeout_ms = Some(ms);
+        config.timeout_ms = Some(ms.parse().map_err(|_| format!("bad --timeout-ms {ms:?}"))?);
     }
-    // --slow-ms wins over the PC_SLOW_MS environment fallback.
-    if let Some(ms) = slow_ms.or_else(|| std::env::var("PC_SLOW_MS").ok()) {
-        config.slow_ms = Some(ms.parse().map_err(|_| format!("bad --slow-ms {ms:?}"))?);
-    }
-    if let Some(n) = recorder_len {
-        config.flight_recorder_len = n
-            .parse()
-            .map_err(|_| format!("bad --flight-recorder-len {n:?}"))?;
-    }
-    config.trace = !no_trace;
+    front.apply_tracing(
+        &mut config.slow_ms,
+        &mut config.flight_recorder_len,
+        &mut config.trace,
+    )?;
 
     let handle = server::start(config).map_err(|e| format!("cannot start server: {e}"))?;
     println!("pc-service listening on {}", handle.local_addr());
@@ -441,22 +511,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         handle.store().len()
     );
     std::io::stdout().flush().ok();
-
-    if watch_stdin {
-        // Graceful stop when our input closes (e.g. the launching pipe ends).
-        let trigger = handle.trigger();
-        std::thread::spawn(move || {
-            let mut sink = [0u8; 256];
-            let mut stdin = std::io::stdin();
-            while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
-            trigger.shutdown();
-        });
-    }
-    handle
-        .wait()
-        .map_err(|e| format!("server teardown failed: {e}"))?;
-    println!("pc-service drained and stopped");
-    Ok(())
+    front.run_until_drained(handle, "server", "pc-service")
 }
 
 fn cmd_route(args: &[String]) -> Result<(), String> {
@@ -470,24 +525,14 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     let (checkpoint_every, rest) = take_optional_flag(&rest, "--checkpoint-every")?;
     let (probe_interval, rest) = take_optional_flag(&rest, "--probe-interval-ms")?;
     let (timeout_ms, rest) = take_optional_flag(&rest, "--timeout-ms")?;
-    let (slow_ms, rest) = take_optional_flag(&rest, "--slow-ms")?;
-    let (recorder_len, rest) = take_optional_flag(&rest, "--flight-recorder-len")?;
-    let (no_trace, rest) = take_switch(&rest, "--no-trace");
-    let (faults, rest) = take_optional_flag(&rest, "--faults")?;
-    let (watch_stdin, rest) = take_switch(&rest, "--watch-stdin");
+    let (front, rest) = FrontFlags::take(&rest)?;
     if let Some(extra) = rest.first() {
         return Err(format!("route does not take {extra:?}"));
     }
     if replicas.is_empty() {
         return Err("route needs at least one --replica HOST:PORT".into());
     }
-
-    if let Some(spec) = faults {
-        let plan = probable_cause_repro::faults::FaultPlan::parse(&spec)
-            .map_err(|e| format!("bad --faults {spec:?}: {e}"))?;
-        probable_cause_repro::faults::install(plan);
-        println!("fault injection armed: {spec}");
-    }
+    front.arm_faults()?;
 
     let mut ring_config = ring::RingConfig::default();
     if let Some(r) = replication {
@@ -524,17 +569,13 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     if let Some(ms) = timeout_ms {
         let ms: u64 = ms.parse().map_err(|_| format!("bad --timeout-ms {ms:?}"))?;
         config.forward_timeout_ms = ms;
-        config.write_timeout_ms = Some(ms);
+        config.timeout_ms = Some(ms);
     }
-    if let Some(ms) = slow_ms.or_else(|| std::env::var("PC_SLOW_MS").ok()) {
-        config.slow_ms = Some(ms.parse().map_err(|_| format!("bad --slow-ms {ms:?}"))?);
-    }
-    if let Some(n) = recorder_len {
-        config.flight_recorder_len = n
-            .parse()
-            .map_err(|_| format!("bad --flight-recorder-len {n:?}"))?;
-    }
-    config.trace = !no_trace;
+    front.apply_tracing(
+        &mut config.slow_ms,
+        &mut config.flight_recorder_len,
+        &mut config.trace,
+    )?;
 
     let replica_count = config.replicas.len();
     let handle = router::start(config).map_err(|e| format!("cannot start router: {e}"))?;
@@ -544,21 +585,7 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
         if quorum { "on" } else { "off" }
     );
     std::io::stdout().flush().ok();
-
-    if watch_stdin {
-        let trigger = handle.trigger();
-        std::thread::spawn(move || {
-            let mut sink = [0u8; 256];
-            let mut stdin = std::io::stdin();
-            while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
-            trigger.shutdown();
-        });
-    }
-    handle
-        .wait()
-        .map_err(|e| format!("router teardown failed: {e}"))?;
-    println!("pc-route drained and stopped");
-    Ok(())
+    front.run_until_drained(handle, "router", "pc-route")
 }
 
 fn cmd_ring_status(args: &[String]) -> Result<(), String> {
