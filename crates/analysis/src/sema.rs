@@ -77,7 +77,6 @@ const WIRE_TOKENS: &[&str] = &[
     "connect",
     "connect_with",
     "call_routed",
-    "call_routed_write",
     "accept",
     "call",
 ];

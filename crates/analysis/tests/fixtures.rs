@@ -427,6 +427,23 @@ fn c003_hold_across_blocking_fixture() {
         )],
     );
     assert!(lint_ids(&clean).is_empty());
+
+    // The router's routed call — reads, saves and stamped writes alike —
+    // is wire I/O: forwarding a write under the mutation lock is a hold.
+    let routed = fixture(
+        "c003-routed-write",
+        &[(
+            "crates/service/src/router.rs",
+            "fn fan_out_write(&self) {\n\
+             \x20   let _order = self.mutation_lock.lock();\n\
+             \x20   let r = c.call_routed(&req, origin, Some(wseq));\n\
+             }\n",
+        )],
+    );
+    assert_eq!(
+        lint_ids(&routed),
+        vec![("C003".into(), "crates/service/src/router.rs".into(), 3)]
+    );
 }
 
 #[test]

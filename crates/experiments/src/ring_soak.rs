@@ -27,11 +27,6 @@
 //!   post-rejoin checkpoint drains every replica's pending journal. (The
 //!   failover counter is recorded, not asserted — the router usually marks
 //!   the victim down so fast that reads rarely catch it mid-death.)
-//!
-//! The run writes `BENCH_ring.json` (path overridable via
-//! `PC_BENCH_RING_OUT`) with `availability`, `failovers`,
-//! `quorum_mismatches`, and `replay_depth` — the machine-readable record
-//! CI archives.
 
 use crate::report::{artifact_dir, Report};
 use pc_service::protocol::{Request, Response, RingStatusBody};
@@ -427,23 +422,6 @@ pub fn run_with(out: &Path, total_requests: u64) -> io::Result<String> {
     if !reidentified {
         return Err(fail("healed replica cannot identify the seed set".into()));
     }
-
-    // The machine-readable record CI archives.
-    let bench_path = std::env::var("PC_BENCH_RING_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| dir.join("BENCH_ring.json"));
-    let bench_json = format!(
-        "{{\n  \"bench\": \"ring\",\n  \"requests\": {total},\n  \"replicas\": {REPLICAS},\n  \
-         \"availability\": {availability:.6},\n  \"failovers\": {},\n  \
-         \"quorum_mismatches\": {},\n  \"replay_depth\": {},\n  \"sheds\": {},\n  \
-         \"wall_ms\": {}\n}}\n",
-        rejoined.failovers,
-        rejoined.quorum_mismatches,
-        rejoined.replayed,
-        rejoined.sheds,
-        elapsed.as_millis(),
-    );
-    std::fs::write(&bench_path, &bench_json)?;
 
     rt.shutdown_and_wait()?;
     restarted.shutdown_and_wait()?;

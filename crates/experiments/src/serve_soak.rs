@@ -6,10 +6,9 @@
 //! queue so `busy` backpressure is exercised), then shuts down gracefully
 //! and restarts from the persisted database + routing index. Reported: load
 //! accounting (responses, retries, rejected-vs-observed agreement), per-op
-//! latency quantiles from the server's tracer (also written as
-//! `BENCH_serving.json`, path overridable via `PC_BENCH_SERVING_OUT`), the
-//! LSH pruning factor actually paid on the serving path, and the two
-//! durability checks (drain answered everything; restart is byte-identical).
+//! latency quantiles from the server's tracer, the LSH pruning factor
+//! actually paid on the serving path, and the two durability checks (drain
+//! answered everything; restart is byte-identical).
 
 use crate::report::{artifact_dir, Report};
 use pc_service::protocol::{Request, Response};
@@ -178,9 +177,7 @@ pub fn run(out: &Path) -> io::Result<String> {
     let pruning = linear_would_pay as f64 / stats.distance_evals.max(1) as f64;
 
     // Per-op latency quantiles from the tracer, captured before shutdown so
-    // they cover the whole soak. Written as `BENCH_serving.json` — the
-    // machine-readable serving-latency record (path overridable via
-    // `PC_BENCH_SERVING_OUT`).
+    // they cover the whole soak.
     let metrics = match setup.call(&Request::Metrics).map_err(io::Error::other)? {
         Response::Metrics(m) => m,
         other => {
@@ -202,32 +199,6 @@ pub fn run(out: &Path) -> io::Result<String> {
             ));
         }
     }
-    let bench_path = std::env::var("PC_BENCH_SERVING_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| dir.join("BENCH_serving.json"));
-    let rows: Vec<String> = metrics
-        .ops
-        .iter()
-        .map(|o| {
-            format!(
-                "    {{ \"op\": \"{}\", \"count\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \
-                 \"p99_ns\": {}, \"max_ns\": {} }}",
-                o.op, o.count, o.p50_ns, o.p90_ns, o.p99_ns, o.max_ns
-            )
-        })
-        .collect();
-    let bench_json = format!(
-        "{{\n  \"bench\": \"serving\",\n  \"chips\": {CHIPS},\n  \"clients\": {CLIENTS},\n  \
-         \"requests_per_client\": {REQUESTS_PER_CLIENT},\n  \"wall_ms\": {},\n  \"ops\": [\n{}\n  ],\n  \
-         \"queue_depth\": {},\n  \"slow_requests\": {},\n  \"degraded\": {}\n}}\n",
-        elapsed.as_millis(),
-        rows.join(",\n"),
-        metrics.queue_depth,
-        metrics.slow_requests,
-        metrics.degraded,
-    );
-    std::fs::write(&bench_path, &bench_json)?;
-
     setup.call(&Request::Shutdown).map_err(io::Error::other)?;
     handle.wait()?;
     let db_bytes = std::fs::read(&db_path)?;
@@ -277,7 +248,6 @@ pub fn run(out: &Path) -> io::Result<String> {
         );
     }
     r.kv("slow requests over threshold", metrics.slow_requests);
-    r.kv("serving bench record", bench_path.display());
     r.section("index routing");
     r.kv("full distance evaluations paid", stats.distance_evals);
     r.kv("linear scan would have paid (identify)", linear_would_pay);
@@ -313,7 +283,6 @@ mod tests {
         assert!(report.contains("drain answered every request"));
         assert!(report.contains("byte-identical"));
         assert!(report.contains("identify p50 / p99 / max"));
-        assert!(report.contains("serving bench record"));
         assert!(!report.contains("FAILED"));
         assert!(!report.contains(" NO\n"));
         std::fs::remove_dir_all(&dir).ok();

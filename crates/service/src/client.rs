@@ -1,14 +1,20 @@
-//! A blocking client for the wire protocol, used by `pc query` and the
-//! integration tests.
+//! A blocking client for the wire protocol, used by `pc query`, the router's
+//! forwards and the integration tests.
+//!
+//! Every request leaves through one frame writer: [`ServiceClient::send`]
+//! for a client's own requests, [`ServiceClient::call_routed`] for a frame
+//! the router forwards, stamped with its trace `origin` and, on a write,
+//! its write sequence.
 //!
 //! Resilience: [`ServiceClient::connect_with`] bounds the TCP handshake and
-//! every read/write with timeouts, and [`ServiceClient::call_with_policy`]
+//! every read/write with one timeout, and [`ServiceClient::call_with_policy`]
 //! retries `busy` answers under a [`RetryPolicy`] — capped exponential
 //! back-off with deterministic jitter, bounded by a total deadline — so a
 //! saturated or stalled server costs a client a known, finite wait.
 
 use crate::codec::{self, CodecError, MAX_FRAME_BYTES};
 use crate::protocol::{self, ProtocolError, Request, Response};
+use pc_telemetry::JsonObject;
 use std::fmt;
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -157,27 +163,22 @@ impl RetryPolicy {
     }
 }
 
-/// Socket timeouts for [`ServiceClient::connect_with`].
+/// The socket timeout for [`ServiceClient::connect_with`].
 ///
 /// The default enforces nothing, matching [`ServiceClient::connect`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConnectOptions {
-    /// Bound on the TCP handshake itself.
-    pub connect_timeout: Option<Duration>,
-    /// Socket read timeout: a response frame that stops making progress for
-    /// this long fails the call with a transport error.
-    pub read_timeout: Option<Duration>,
-    /// Socket write timeout for request frames.
-    pub write_timeout: Option<Duration>,
+    /// One bound on the TCP handshake, on each socket read (a response
+    /// frame that stops making progress for this long fails the call with
+    /// a transport error) and on each socket write of a request frame.
+    pub timeout: Option<Duration>,
 }
 
 impl ConnectOptions {
-    /// All three timeouts set to the same bound — the common CLI case.
+    /// Every socket operation bounded by `timeout`.
     pub fn uniform(timeout: Duration) -> Self {
         Self {
-            connect_timeout: Some(timeout),
-            read_timeout: Some(timeout),
-            write_timeout: Some(timeout),
+            timeout: Some(timeout),
         }
     }
 }
@@ -213,9 +214,9 @@ impl ServiceClient {
     /// # Errors
     ///
     /// Propagates connect failures, including handshakes that outlive
-    /// `opts.connect_timeout`.
+    /// `opts.timeout`.
     pub fn connect_with<A: ToSocketAddrs>(addr: A, opts: ConnectOptions) -> io::Result<Self> {
-        let writer = match opts.connect_timeout {
+        let writer = match opts.timeout {
             Some(timeout) => {
                 // connect_timeout wants a concrete address; try each
                 // resolution and keep the last failure for the error report.
@@ -238,8 +239,8 @@ impl ServiceClient {
             }
             None => TcpStream::connect(addr)?,
         };
-        writer.set_read_timeout(opts.read_timeout)?;
-        writer.set_write_timeout(opts.write_timeout)?;
+        writer.set_read_timeout(opts.timeout)?;
+        writer.set_write_timeout(opts.timeout)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Self {
             writer,
@@ -280,10 +281,16 @@ impl ServiceClient {
     ///
     /// Propagates transport failures.
     pub fn send(&mut self, request: &Request) -> Result<u64, ClientError> {
+        let trace = self.trace;
+        self.send_frame(|seq| protocol::encode_request_with(seq, request, trace))
+    }
+
+    /// Writes the frame `encode` builds for the next sequence number,
+    /// returning that number.
+    fn send_frame(&mut self, encode: impl FnOnce(u64) -> JsonObject) -> Result<u64, ClientError> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let frame = protocol::encode_request_with(seq, request, self.trace);
-        codec::write_frame(&mut self.writer, &frame).map_err(CodecError::Io)?;
+        codec::write_frame(&mut self.writer, &encode(seq)).map_err(CodecError::Io)?;
         Ok(seq)
     }
 
@@ -297,55 +304,25 @@ impl ServiceClient {
         Ok(protocol::decode_response(&value)?)
     }
 
-    /// Sends `request` stamped with a router-assigned `origin` trace id
-    /// (replica-forwarding frames) without waiting.
+    /// [`ServiceClient::call`] for a frame the router forwards: stamps
+    /// `origin` so the replica's flight recorder correlates with the
+    /// routing tier, and, on a fanned-out write, the router's write
+    /// sequence `wseq`, which the replica folds into its applied-write
+    /// watermark so a later journal replay skips the write instead of
+    /// applying it twice.
     ///
     /// # Errors
     ///
-    /// Propagates transport failures.
-    pub fn send_routed(&mut self, request: &Request, origin: u64) -> Result<u64, ClientError> {
-        self.send_routed_inner(request, origin, None)
-    }
-
-    fn send_routed_inner(
+    /// As [`ServiceClient::call`].
+    pub fn call_routed(
         &mut self,
         request: &Request,
         origin: u64,
         wseq: Option<u64>,
-    ) -> Result<u64, ClientError> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let frame = protocol::encode_request_routed(seq, request, self.trace, origin, wseq);
-        codec::write_frame(&mut self.writer, &frame).map_err(CodecError::Io)?;
-        Ok(seq)
-    }
-
-    /// [`ServiceClient::call`] for a forwarded frame: stamps `origin` so
-    /// the replica's flight recorder correlates with the routing tier.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServiceClient::call`].
-    pub fn call_routed(&mut self, request: &Request, origin: u64) -> Result<Response, ClientError> {
-        let sent = self.send_routed(request, origin)?;
-        self.finish_call(sent)
-    }
-
-    /// [`ServiceClient::call_routed`] for a fanned-out mutation: also
-    /// stamps the router's global write sequence `wseq`, which the replica
-    /// folds into its applied-write watermark so a later journal replay
-    /// skips this mutation instead of applying it twice.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServiceClient::call`].
-    pub fn call_routed_write(
-        &mut self,
-        request: &Request,
-        origin: u64,
-        wseq: u64,
     ) -> Result<Response, ClientError> {
-        let sent = self.send_routed_inner(request, origin, Some(wseq))?;
+        let trace = self.trace;
+        let sent = self
+            .send_frame(|seq| protocol::encode_request_routed(seq, request, trace, origin, wseq))?;
         self.finish_call(sent)
     }
 
@@ -546,8 +523,7 @@ mod tests {
     #[test]
     fn uniform_connect_options_set_all_three() {
         let opts = ConnectOptions::uniform(Duration::from_millis(250));
-        assert_eq!(opts.connect_timeout, Some(Duration::from_millis(250)));
-        assert_eq!(opts.read_timeout, Some(Duration::from_millis(250)));
-        assert_eq!(opts.write_timeout, Some(Duration::from_millis(250)));
+        assert_eq!(opts.timeout, Some(Duration::from_millis(250)));
+        assert_eq!(ConnectOptions::default().timeout, None);
     }
 }

@@ -1,13 +1,17 @@
 //! The server's execution engine: a bounded submission queue drained by one
 //! dispatcher thread.
 //!
-//! Connection threads *submit* work and never touch the store. The
-//! dispatcher pops jobs in batches and answers each in admission order:
-//! identifies plan, score and threshold inline through
+//! Connection threads *submit* [`Job`]s and never touch the store. A job is
+//! its request's sequence number, reply channel and stage timer, plus its
+//! [`Work`]: an identify, one write (characterize or cluster-ingest, with
+//! the router's write sequence when a router sent it), or a journal replay
+//! batch. The dispatcher pops jobs in batches and answers each in admission
+//! order: identifies plan, score and threshold inline through
 //! [`ShardedStore::identify`] (an LSH-routed identify scores about one
 //! candidate, and a full-scan-sized candidate set borrows the kernels'
-//! thread pool), and mutations (characterize, cluster-ingest, replay) run
-//! serially, so writes are deterministic in admission order.
+//! thread pool), and writes and replays run serially through the store's
+//! one write step, [`ShardedStore::apply_write`], so writes are
+//! deterministic in admission order.
 //!
 //! Backpressure is explicit: the queue has a fixed capacity and
 //! [`SubmissionQueue::try_submit`] never blocks — a full queue bounces the
@@ -26,8 +30,8 @@
 //! losing the rest of the popped batch. Both show up in [`PoolMetrics`],
 //! which `stats` reports as `worker_panics` / `worker_respawns`.
 
-use crate::protocol::{Response, TraceBody};
-use crate::store::ShardedStore;
+use crate::protocol::{Response, SequencedEntry, TraceBody};
+use crate::store::{ShardedStore, StoreError};
 use pc_telemetry::counter;
 use pc_telemetry::trace::{Stage, TraceBuilder, Tracer};
 use probable_cause::ErrorString;
@@ -95,86 +99,30 @@ fn apply_trace(trace: &mut Option<Box<TraceBuilder>>, response: Response) -> Res
     }
 }
 
-/// A unit of admitted work.
-pub enum Job {
-    /// Score an output against the store.
-    Identify {
-        /// Request sequence number, echoed in the response.
-        seq: u64,
-        /// The output's error string.
-        errors: ErrorString,
-        /// Response channel.
-        reply: Reply,
-        /// The request's stage timer, if tracing is enabled.
-        trace: Option<Box<TraceBuilder>>,
-    },
-    /// Refine (or create) a labelled fingerprint.
-    Characterize {
-        /// Request sequence number.
-        seq: u64,
-        /// Device label.
-        label: String,
-        /// The observation.
-        errors: ErrorString,
-        /// Response channel.
-        reply: Reply,
-        /// The request's stage timer, if tracing is enabled.
-        trace: Option<Box<TraceBuilder>>,
-        /// The router's global write sequence, when this mutation was
-        /// fanned out by a router (advances the replay-dedup watermark).
-        wseq: Option<u64>,
-    },
-    /// Online-cluster an output.
-    ClusterIngest {
-        /// Request sequence number.
-        seq: u64,
-        /// The output.
-        errors: ErrorString,
-        /// Response channel.
-        reply: Reply,
-        /// The request's stage timer, if tracing is enabled.
-        trace: Option<Box<TraceBuilder>>,
-        /// The router's global write sequence, when this mutation was
-        /// fanned out by a router (advances the replay-dedup watermark).
-        wseq: Option<u64>,
-    },
-    /// Apply a router journal replay batch (a rejoining replica catching
-    /// up on missed mutations). Runs serially on the dispatcher like every
-    /// other mutation, so replayed writes interleave deterministically
-    /// with live ones.
-    Replay {
-        /// Request sequence number.
-        seq: u64,
-        /// Journaled mutations, oldest first.
-        entries: Vec<crate::protocol::SequencedEntry>,
-        /// Response channel.
-        reply: Reply,
-        /// The request's stage timer, if tracing is enabled.
-        trace: Option<Box<TraceBuilder>>,
-    },
+/// A unit of admitted work: what to do, plus where and how to answer it.
+pub struct Job {
+    /// Request sequence number, echoed in the response.
+    pub seq: u64,
+    /// Response channel.
+    pub reply: Reply,
+    /// The request's stage timer, if tracing is enabled.
+    pub trace: Option<Box<TraceBuilder>>,
+    /// The work itself.
+    pub work: Work,
 }
 
-impl Job {
-    /// The job's stage timer, if any.
-    fn trace_mut(&mut self) -> Option<&mut TraceBuilder> {
-        match self {
-            Job::Identify { trace, .. }
-            | Job::Characterize { trace, .. }
-            | Job::ClusterIngest { trace, .. }
-            | Job::Replay { trace, .. } => trace.as_deref_mut(),
-        }
-    }
-
-    /// Takes the job's stage timer, dropping the rest (used when a refused
-    /// job's reply must still carry its trace).
-    pub(crate) fn into_trace(self) -> Option<Box<TraceBuilder>> {
-        match self {
-            Job::Identify { trace, .. }
-            | Job::Characterize { trace, .. }
-            | Job::ClusterIngest { trace, .. }
-            | Job::Replay { trace, .. } => trace,
-        }
-    }
+/// What a [`Job`] asks of the store.
+pub enum Work {
+    /// Score an output against the store.
+    Identify(ErrorString),
+    /// Apply one write ([`ShardedStore::apply_write`]), stamped with the
+    /// router's write sequence when a router fanned it out (0 otherwise).
+    /// A live write is never skipped.
+    Write(SequencedEntry),
+    /// Apply a router journal replay batch, oldest first
+    /// ([`ShardedStore::apply_replay`]): a rejoining replica catching up on
+    /// missed writes, skipping those it already applied.
+    Replay(Vec<SequencedEntry>),
 }
 
 /// Why a job was not admitted.
@@ -424,119 +372,68 @@ impl Dispatcher {
     }
 
     /// Runs `work` under `catch_unwind`, so a poisoned request cannot take
-    /// down the dispatcher: a panic fails only this request, as an `Error`.
-    fn contained(&self, what: &str, work: impl FnOnce() -> Response) -> Response {
-        catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|_| {
-            self.note_panic();
-            Response::Error {
-                message: format!("{what} panicked; request dropped"),
+    /// down the dispatcher: a panic fails only this request, as an `Error`,
+    /// and so does a [`StoreError`].
+    fn contained(
+        &self,
+        what: &str,
+        work: impl FnOnce() -> Result<Response, StoreError>,
+    ) -> Response {
+        let message = match catch_unwind(AssertUnwindSafe(work)) {
+            Ok(Ok(response)) => return response,
+            Ok(Err(e)) => e.to_string(),
+            Err(_) => {
+                self.note_panic();
+                format!("{what} panicked; request dropped")
             }
-        })
+        };
+        Response::Error { message }
     }
 
     /// Answers one job. Identifies score inline through
-    /// [`ShardedStore::identify`]; mutations run in admission order.
-    fn handle(&self, mut job: Job) {
+    /// [`ShardedStore::identify`]; writes and replays run in admission
+    /// order through [`ShardedStore::apply_write`].
+    fn handle(&self, job: Job) {
         let _span = pc_telemetry::time!("service.dispatch.route");
+        let Job {
+            seq,
+            reply,
+            mut trace,
+            work,
+        } = job;
         // Pickup closes the queue-wait stage: admission → here.
-        if let Some(tb) = job.trace_mut() {
+        if let Some(tb) = trace.as_deref_mut() {
             tb.record_lap(Stage::QueueWait);
         }
         let store = &*self.store;
-        match job {
-            Job::Identify {
-                seq,
-                errors,
-                reply,
-                trace,
-            } => {
-                if pc_faults::fail_point("pool.worker") {
-                    // Answer the caller first, then die like a real worker
-                    // panic: `run` restarts the loop and the request gets
-                    // `Error` instead of hanging its connection.
-                    self.note_panic();
-                    let message = "identify failed (dispatcher panicked)".to_string();
-                    answer(&reply, seq, trace, Response::Error { message });
-                    // pc-allow: P003 — deliberate fault-injection site; the request is already answered
-                    panic!("injected fault at pool.worker");
+        // The `pool.worker` fault answers its identify, then dies like a
+        // real worker panic: `run` restarts the loop and the request gets
+        // `Error` instead of hanging its connection.
+        let worker_fault =
+            matches!(work, Work::Identify(_)) && pc_faults::fail_point("pool.worker");
+        let response = match work {
+            Work::Identify(_) if worker_fault => {
+                self.note_panic();
+                Response::Error {
+                    message: "identify failed (dispatcher panicked)".to_string(),
                 }
-                let response = self.contained("identify", || match store.identify(&errors) {
-                    Ok(Ok((label, distance))) => Response::Match { label, distance },
-                    Ok(Err(closest)) => Response::NoMatch { closest },
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    },
-                });
-                answer(&reply, seq, trace, response);
             }
-            Job::Characterize {
-                seq,
-                label,
-                errors,
-                reply,
-                trace,
-                wseq,
-            } => {
-                let response = self.contained("characterize", || {
-                    let outcome = store.characterize(&label, &errors);
-                    // Advance the replay-dedup watermark whenever the
-                    // mutation ran to completion (validation refusals would
-                    // be refused again on replay); a panic skips this, so
-                    // replay retries the entry.
-                    if let Some(wseq) = wseq {
-                        store.note_routed_write(wseq);
-                    }
-                    match outcome {
-                        Ok((weight, observations, created)) => Response::Characterized {
-                            label,
-                            weight,
-                            observations,
-                            created,
-                        },
-                        Err(e) => Response::Error {
-                            message: e.to_string(),
-                        },
-                    }
-                });
-                answer(&reply, seq, trace, response);
-            }
-            Job::ClusterIngest {
-                seq,
-                errors,
-                reply,
-                trace,
-                wseq,
-            } => {
-                let response = self.contained("cluster-ingest", || {
-                    let outcome = store.cluster_ingest(&errors);
-                    if let Some(wseq) = wseq {
-                        store.note_routed_write(wseq);
-                    }
-                    match outcome {
-                        Ok((cluster, seeded, clusters)) => Response::Clustered {
-                            cluster,
-                            seeded,
-                            clusters,
-                        },
-                        Err(e) => Response::Error {
-                            message: e.to_string(),
-                        },
-                    }
-                });
-                answer(&reply, seq, trace, response);
-            }
-            Job::Replay {
-                seq,
-                entries,
-                reply,
-                trace,
-            } => {
-                let response = self.contained("replay", || {
-                    let (applied, skipped) = store.apply_replay(&entries);
-                    Response::Replayed { applied, skipped }
-                });
-                answer(&reply, seq, trace, response);
-            }
+            Work::Identify(errors) => self.contained("identify", || {
+                Ok(match store.identify(&errors)? {
+                    Ok((label, distance)) => Response::Match { label, distance },
+                    Err(closest) => Response::NoMatch { closest },
+                })
+            }),
+            Work::Write(write) => self.contained(write.entry.op(), || store.apply_write(&write)),
+            Work::Replay(entries) => self.contained("replay", || {
+                let (applied, skipped) = store.apply_replay(&entries);
+                Ok(Response::Replayed { applied, skipped })
+            }),
+        };
+        answer(&reply, seq, trace, response);
+        if worker_fault {
+            // pc-allow: P003 — deliberate fault-injection site; the request is already answered
+            panic!("injected fault at pool.worker");
         }
     }
 }
@@ -544,7 +441,24 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::ReplayEntry;
     use crate::store::StoreConfig;
+
+    fn job(seq: u64, reply: &Reply, work: Work) -> Job {
+        Job {
+            seq,
+            reply: reply.clone(),
+            trace: None,
+            work,
+        }
+    }
+
+    fn ingest(bits: &[u64]) -> Work {
+        Work::Write(SequencedEntry {
+            seq: 0,
+            entry: ReplayEntry::ClusterIngest { errors: es(bits) },
+        })
+    }
 
     fn es(bits: &[u64]) -> ErrorString {
         ErrorString::from_sorted(bits.to_vec(), 4096).unwrap()
@@ -579,36 +493,20 @@ mod tests {
         );
         let (tx, rx) = mpsc::channel::<Outbound>();
 
-        queue
-            .try_submit(Job::Identify {
-                seq: 1,
-                errors: es(&chip_bits(5)),
-                reply: tx.clone(),
-                trace: None,
-            })
-            .ok()
-            .unwrap();
-        queue
-            .try_submit(Job::ClusterIngest {
-                seq: 2,
-                errors: es(&[9, 99, 999]),
-                reply: tx.clone(),
-                trace: None,
-                wseq: None,
-            })
-            .ok()
-            .unwrap();
-        queue
-            .try_submit(Job::Characterize {
-                seq: 3,
+        let characterize = Work::Write(SequencedEntry {
+            seq: 0,
+            entry: ReplayEntry::Characterize {
                 label: "fresh".to_string(),
                 errors: es(&[4, 44]),
-                reply: tx,
-                trace: None,
-                wseq: None,
-            })
-            .ok()
-            .unwrap();
+            },
+        });
+        for (seq, work) in [
+            (1, Work::Identify(es(&chip_bits(5)))),
+            (2, ingest(&[9, 99, 999])),
+            (3, characterize),
+        ] {
+            queue.try_submit(job(seq, &tx, work)).ok().unwrap();
+        }
 
         let mut got = std::collections::BTreeMap::new();
         for _ in 0..3 {
@@ -641,16 +539,9 @@ mod tests {
     fn full_queue_bounces_jobs_back() {
         let queue = SubmissionQueue::new(1);
         let (tx, _rx) = mpsc::channel::<Outbound>();
-        let job = |seq| Job::ClusterIngest {
-            seq,
-            errors: es(&[1]),
-            reply: tx.clone(),
-            trace: None,
-            wseq: None,
-        };
-        queue.try_submit(job(1)).ok().unwrap();
-        match queue.try_submit(job(2)) {
-            Err(SubmitError::Full(Job::ClusterIngest { seq: 2, .. })) => {}
+        queue.try_submit(job(1, &tx, ingest(&[1]))).ok().unwrap();
+        match queue.try_submit(job(2, &tx, ingest(&[1]))) {
+            Err(SubmitError::Full(Job { seq: 2, .. })) => {}
             _ => panic!("second submit should bounce with the job"),
         }
         assert_eq!(queue.admitted(), 1);
@@ -663,15 +554,8 @@ mod tests {
         let queue = Arc::new(SubmissionQueue::new(64));
         let (tx, rx) = mpsc::channel::<Outbound>();
         for seq in 0..20 {
-            queue
-                .try_submit(Job::Identify {
-                    seq,
-                    errors: es(&chip_bits(seq % 4)),
-                    reply: tx.clone(),
-                    trace: None,
-                })
-                .ok()
-                .unwrap();
+            let work = Work::Identify(es(&chip_bits(seq % 4)));
+            queue.try_submit(job(seq, &tx, work)).ok().unwrap();
         }
         drop(tx);
         // The pool starts with 20 jobs already queued; closing immediately
@@ -683,13 +567,7 @@ mod tests {
         // After close, submissions are refused as Closed.
         let (tx2, _rx2) = mpsc::channel::<Outbound>();
         assert!(matches!(
-            queue.try_submit(Job::ClusterIngest {
-                seq: 99,
-                errors: es(&[1]),
-                reply: tx2,
-                trace: None,
-                wseq: None,
-            }),
+            queue.try_submit(job(99, &tx2, ingest(&[1]))),
             Err(SubmitError::Closed(_))
         ));
     }

@@ -99,17 +99,39 @@ pub enum ReplayEntry {
     },
 }
 
+impl ReplayEntry {
+    /// The write's `op` string, as its live request spells it.
+    pub fn op(&self) -> &'static str {
+        match self {
+            ReplayEntry::Characterize { .. } => "characterize",
+            ReplayEntry::ClusterIngest { .. } => "cluster-ingest",
+        }
+    }
+}
+
+impl From<ReplayEntry> for Request {
+    fn from(write: ReplayEntry) -> Self {
+        match write {
+            ReplayEntry::Characterize { label, errors } => Request::Characterize { label, errors },
+            ReplayEntry::ClusterIngest { errors } => Request::ClusterIngest { errors },
+        }
+    }
+}
+
 /// A journaled mutation tagged with the router's global write sequence.
 ///
 /// The router stamps every fanned-out write with a monotone `wseq` (both on
 /// the live forward and in the journal), and each replica remembers the
-/// highest `wseq` it has processed. A [`Request::Replay`] batch is therefore
-/// idempotent: entries at or below the replica's watermark were already
-/// applied live and are skipped, while a replica that restarted from its
-/// last checkpoint (watermark reset) re-applies everything it lost.
+/// highest `wseq` it has processed from that router. A [`Request::Replay`]
+/// batch is therefore idempotent: entries at or below the replica's
+/// watermark were already applied live and are skipped, while a replica
+/// that restarted from its last checkpoint (watermark reset) re-applies
+/// everything it lost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SequencedEntry {
-    /// The router's global write sequence for this mutation (1-based).
+    /// The router's write sequence for this mutation: the router's epoch in
+    /// the high 32 bits, its 1-based write count below. 0 is unsequenced
+    /// (always applied, never skipped).
     pub seq: u64,
     /// The mutation itself.
     pub entry: ReplayEntry,
@@ -132,6 +154,21 @@ pub const OPS: &[&str] = &[
 ];
 
 impl Request {
+    /// The write a `characterize` or `cluster-ingest` request makes.
+    ///
+    /// # Errors
+    ///
+    /// The request, unchanged, when it is not a write.
+    pub fn into_write(self) -> Result<ReplayEntry, Request> {
+        match self {
+            Request::Characterize { label, errors } => {
+                Ok(ReplayEntry::Characterize { label, errors })
+            }
+            Request::ClusterIngest { errors } => Ok(ReplayEntry::ClusterIngest { errors }),
+            other => Err(other),
+        }
+    }
+
     /// The request's `op` string (also its telemetry label).
     pub fn op(&self) -> &'static str {
         match self {
@@ -425,15 +462,46 @@ fn positions_json(errors: &ErrorString) -> Vec<JsonValue> {
         .collect()
 }
 
-fn set_errors(obj: &mut JsonObject, errors: &ErrorString) {
+/// Sets `label` (when given), `size` and `positions`: the fields of an
+/// identify, of a live write and of a replay row alike.
+fn set_errors(obj: &mut JsonObject, label: Option<&str>, errors: &ErrorString) {
+    if let Some(label) = label {
+        obj.set("label", label);
+    }
     obj.set("size", errors.size());
     obj.set("positions", positions_json(errors));
+}
+
+/// Decodes the write an `op` names from its fields, or `None` when `op` is
+/// not a write. Live write requests and replay rows share it.
+fn get_write(obj: &JsonObject, op: &str) -> Result<Option<ReplayEntry>, ProtocolError> {
+    Ok(Some(match op {
+        "characterize" => ReplayEntry::Characterize {
+            label: get_str(obj, "label")?.to_string(),
+            errors: get_errors(obj)?,
+        },
+        "cluster-ingest" => ReplayEntry::ClusterIngest {
+            errors: get_errors(obj)?,
+        },
+        _ => return Ok(None),
+    }))
 }
 
 fn get_u64(obj: &JsonObject, key: &str) -> Result<u64, ProtocolError> {
     obj.get(key)
         .and_then(JsonValue::as_u64)
         .ok_or_else(|| err(format!("missing or non-integer `{key}`")))
+}
+
+/// An optional integer field (absent → `None`), described as `what` in
+/// the error.
+fn get_opt_u64(obj: &JsonObject, key: &str, what: &str) -> Result<Option<u64>, ProtocolError> {
+    obj.get(key)
+        .map(|v| {
+            v.as_u64()
+                .ok_or_else(|| err(format!("non-integer `{key}` {what}")))
+        })
+        .transpose()
 }
 
 fn get_str<'a>(obj: &'a JsonObject, key: &str) -> Result<&'a str, ProtocolError> {
@@ -485,28 +553,21 @@ pub fn encode_request_with(seq: u64, request: &Request, trace: bool) -> JsonObje
         | Request::RingStatus
         | Request::Shutdown => {}
         Request::Identify { errors } | Request::ClusterIngest { errors } => {
-            set_errors(&mut obj, errors);
+            set_errors(&mut obj, None, errors);
         }
-        Request::Characterize { label, errors } => {
-            obj.set("label", label.as_str());
-            set_errors(&mut obj, errors);
-        }
+        Request::Characterize { label, errors } => set_errors(&mut obj, Some(label), errors),
         Request::Replay { entries } => {
             let rows: Vec<JsonValue> = entries
                 .iter()
                 .map(|sequenced| {
                     let mut o = JsonObject::new();
                     o.set("wseq", sequenced.seq);
+                    o.set("op", sequenced.entry.op());
                     match &sequenced.entry {
                         ReplayEntry::Characterize { label, errors } => {
-                            o.set("op", "characterize");
-                            o.set("label", label.as_str());
-                            set_errors(&mut o, errors);
+                            set_errors(&mut o, Some(label), errors);
                         }
-                        ReplayEntry::ClusterIngest { errors } => {
-                            o.set("op", "cluster-ingest");
-                            set_errors(&mut o, errors);
-                        }
+                        ReplayEntry::ClusterIngest { errors } => set_errors(&mut o, None, errors),
                     }
                     JsonValue::from(o)
                 })
@@ -552,16 +613,9 @@ fn decode_replay_entry(v: &JsonValue) -> Result<SequencedEntry, ProtocolError> {
         .as_object()
         .ok_or_else(|| err("replay entry is not an object"))?;
     let seq = get_u64(obj, "wseq")?;
-    let entry = match get_str(obj, "op")? {
-        "characterize" => ReplayEntry::Characterize {
-            label: get_str(obj, "label")?.to_string(),
-            errors: get_errors(obj)?,
-        },
-        "cluster-ingest" => ReplayEntry::ClusterIngest {
-            errors: get_errors(obj)?,
-        },
-        other => return Err(err(format!("unknown replay entry op {other:?}"))),
-    };
+    let op = get_str(obj, "op")?;
+    let entry =
+        get_write(obj, op)?.ok_or_else(|| err(format!("unknown replay entry op {op:?}")))?;
     Ok(SequencedEntry { seq, entry })
 }
 
@@ -586,30 +640,15 @@ pub fn decode_request_routed(frame: &JsonValue) -> Result<RoutedRequest, Protoco
         None => false,
         Some(v) => v.as_bool().ok_or_else(|| err("non-boolean `trace`"))?,
     };
-    let origin = match obj.get("origin") {
-        None => None,
-        Some(v) => Some(
-            v.as_u64()
-                .ok_or_else(|| err("non-integer `origin` trace id"))?,
-        ),
-    };
-    let wseq = match obj.get("wseq") {
-        None => None,
-        Some(v) => Some(
-            v.as_u64()
-                .ok_or_else(|| err("non-integer `wseq` write sequence"))?,
-        ),
-    };
-    let request = match get_str(obj, "op")? {
+    let origin = get_opt_u64(obj, "origin", "trace id")?;
+    let wseq = get_opt_u64(obj, "wseq", "write sequence")?;
+    let op = get_str(obj, "op")?;
+    if let Some(write) = get_write(obj, op)? {
+        return Ok((seq, write.into(), trace, origin, wseq));
+    }
+    let request = match op {
         "ping" => Request::Ping,
         "identify" => Request::Identify {
-            errors: get_errors(obj)?,
-        },
-        "characterize" => Request::Characterize {
-            label: get_str(obj, "label")?.to_string(),
-            errors: get_errors(obj)?,
-        },
-        "cluster-ingest" => Request::ClusterIngest {
             errors: get_errors(obj)?,
         },
         "stats" => Request::Stats,
@@ -1257,6 +1296,42 @@ mod tests {
         assert!(
             decode_request(&no_seq).is_err(),
             "replay entry without wseq"
+        );
+    }
+
+    #[test]
+    fn write_frames_keep_their_wire_bytes() {
+        let characterize = Request::Characterize {
+            label: "chip-A".to_string(),
+            errors: es(&[3, 17]),
+        };
+        assert_eq!(
+            encode_request_routed(7, &characterize, false, 0xfeed, Some(41)).to_compact(),
+            r#"{"seq":7,"op":"characterize","label":"chip-A","size":4096,"positions":[3,17],"origin":65261,"wseq":41}"#
+        );
+        let replay = Request::Replay {
+            entries: vec![
+                SequencedEntry {
+                    seq: 41,
+                    entry: ReplayEntry::Characterize {
+                        label: "chip-A".to_string(),
+                        errors: es(&[3, 17]),
+                    },
+                },
+                SequencedEntry {
+                    seq: 42,
+                    entry: ReplayEntry::ClusterIngest { errors: es(&[11]) },
+                },
+            ],
+        };
+        assert_eq!(
+            encode_request_routed(8, &replay, true, 0xfeed, None).to_compact(),
+            concat!(
+                r#"{"seq":8,"op":"replay","trace":true,"entries":["#,
+                r#"{"wseq":41,"op":"characterize","label":"chip-A","size":4096,"positions":[3,17]},"#,
+                r#"{"wseq":42,"op":"cluster-ingest","size":4096,"positions":[11]}"#,
+                r#"],"origin":65261}"#
+            )
         );
     }
 

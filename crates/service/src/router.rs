@@ -21,7 +21,9 @@
 //!   fails to acknowledge is evicted (it is out of sync by definition)
 //!   and heals by replaying its journal when it rejoins — the sequence
 //!   lets it skip entries it already applied live, so a timeout-evicted
-//!   replica that lost nothing does not double-apply. A write no replica
+//!   replica that lost nothing does not double-apply. Sequences carry this
+//!   router's random epoch, so a restarted router's writes are never taken
+//!   for ones the replica applied before the restart. A write no replica
 //!   acknowledged is retracted from every journal before the client is
 //!   shed (the shed is retryable; the journaled copy must not resurrect).
 //!   Journals truncate at acknowledged durability checkpoints (`save`) —
@@ -57,6 +59,7 @@ use crate::ring::{key_of, HealthPolicy, Journal, NodeHealth, Ring, RingConfig};
 use parking_lot::Mutex as PlMutex;
 use pc_telemetry::counter;
 use pc_telemetry::trace::{trace_id, Tracer};
+use std::hash::BuildHasher;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -166,9 +169,13 @@ pub struct Router {
     quorum_mismatches: AtomicU64,
     sheds: AtomicU64,
     replayed: AtomicU64,
-    /// The next global write sequence (1-based; 0 is the replicas' unset
-    /// watermark). Assigned under the mutation lock, so sequence order is
-    /// journal order is fan-out order.
+    /// This router's write epoch, already in the high 32 bits: every write
+    /// sequence it stamps is `epoch | n`.
+    epoch: u64,
+    /// The next write number `n` (1-based, so no stamp is 0, the replicas'
+    /// unset watermark; it reaches the epoch bits only after 2³² writes).
+    /// Assigned under the mutation lock, so sequence order is journal order
+    /// is fan-out order.
     next_wseq: AtomicU64,
 }
 
@@ -246,7 +253,7 @@ impl Router {
                 counter!("service.ring.failovers").incr();
             }
             first_try = false;
-            match self.with_node_client(idx, |c| c.call_routed(request, origin)) {
+            match self.with_node_client(idx, |c| c.call_routed(request, origin, None)) {
                 Some(response) => {
                     if let Some(node) = self.nodes.get(idx) {
                         node.health.lock().record_success(&self.config.health);
@@ -271,7 +278,7 @@ impl Router {
                 self.failovers.fetch_add(1, Ordering::Relaxed);
                 counter!("service.ring.failovers").incr();
             }
-            match self.with_node_client(idx, |c| c.call_routed(request, origin)) {
+            match self.with_node_client(idx, |c| c.call_routed(request, origin, None)) {
                 Some(response) => {
                     if let Some(node) = self.nodes.get(idx) {
                         node.health.lock().record_success(&self.config.health);
@@ -308,41 +315,25 @@ impl Router {
         }
     }
 
-    /// Write path: journal for every replica, then fan out to the live
-    /// ones under the mutation lock. The first acknowledgement wins the
-    /// client's response; replicas that fail to acknowledge are evicted.
-    /// With no acknowledgement at all the entry is retracted from every
-    /// journal before shedding — the shed is retryable, so a journaled
-    /// copy would re-apply the write on heal after the retry already
-    /// landed it.
-    fn fan_out_write(&self, entry: ReplayEntry, request: &Request, origin: u64) -> Response {
+    /// Write path: journal `write` for every replica, then forward it to
+    /// the live ones under the mutation lock. The first acknowledgement
+    /// wins the client's response; replicas that fail to acknowledge are
+    /// evicted. With no acknowledgement at all the entry is retracted from
+    /// every journal before shedding — the shed is retryable, so a
+    /// journaled copy would re-apply the write on heal after the retry
+    /// already landed it.
+    fn fan_out_write(&self, write: ReplayEntry, origin: u64) -> Response {
         let _order = self.mutation_lock.lock();
-        let wseq = self.next_wseq.fetch_add(1, Ordering::Relaxed);
+        let wseq = self.epoch | self.next_wseq.fetch_add(1, Ordering::Relaxed);
         for node in &self.nodes {
-            node.journal.lock().push(wseq, entry.clone());
+            node.journal.lock().push(wseq, write.clone());
             counter!("service.ring.journal_appended").incr();
         }
-        let mut winner: Option<Response> = None;
-        for (idx, node) in self.nodes.iter().enumerate() {
-            if !node.is_live() {
-                continue;
-            }
-            // Writes deliberately fan out under the mutation lock: it gives
-            // every replica the same journal order, and the per-node RPCs
-            // carry connect/read deadlines.
-            // pc-allow: C003 — write fan-out is serialized by design; RPCs have deadlines
-            match self.with_node_client(idx, |c| c.call_routed_write(request, origin, wseq)) {
-                Some(response) if response.is_ok() => {
-                    node.health.lock().record_success(&self.config.health);
-                    if winner.is_none() {
-                        winner = Some(strip_trace(response));
-                    }
-                }
-                // A replica-side refusal or a transport failure both mean
-                // this replica missed a write its siblings applied.
-                _ => self.force_down(idx),
-            }
-        }
+        // Writes deliberately fan out under the mutation lock: it gives
+        // every replica the same journal order, and the per-node RPCs
+        // carry connect/read deadlines.
+        // pc-allow: C003 — write fan-out is serialized by design; RPCs have deadlines
+        let winner = self.fan_out(&Request::from(write), origin, Some(wseq));
         match winner {
             Some(response) => {
                 // The auto-checkpoint deliberately runs inside the write
@@ -380,7 +371,7 @@ impl Router {
             .any(|node| node.is_live() && node.journal.lock().len() >= every);
         if due {
             counter!("service.ring.auto_checkpoints").incr();
-            let _ = self.checkpoint_live(origin);
+            let _ = self.fan_out(&Request::Save, origin, None);
         }
     }
 
@@ -389,30 +380,34 @@ impl Router {
     fn fan_out_save(&self, origin: u64) -> Response {
         let _order = self.mutation_lock.lock();
         // Explicit saves serialize against writes on the mutation lock;
-        // checkpoint_live itself is lock-free (the PR 8 re-entrancy fix)
-        // and its RPCs carry deadlines.
+        // `fan_out` itself takes no lock, and its RPCs carry deadlines.
         // pc-allow: C003 — save fan-out is serialized by design; RPCs have deadlines
-        self.checkpoint_live(origin).unwrap_or_else(|| self.shed())
+        let winner = self.fan_out(&Request::Save, origin, None);
+        winner.unwrap_or_else(|| self.shed())
     }
 
-    /// The save fan-out body. The caller must hold the mutation lock
-    /// (parking_lot mutexes are not re-entrant, and auto-checkpoints run
-    /// inside `fan_out_write`'s critical section). Returns `None` when no
-    /// live replica acknowledged the checkpoint.
-    fn checkpoint_live(&self, origin: u64) -> Option<Response> {
-        let mut winner: Option<Response> = None;
+    /// Forwards a write (stamped `wseq`) or a save to every live replica in
+    /// turn; returns the first acknowledgement. The caller must hold the
+    /// mutation lock (parking_lot mutexes are not re-entrant, and
+    /// auto-checkpoints run inside `fan_out_write`'s critical section), so
+    /// no journal changes under the fan-out. A replica that refuses or
+    /// fails is evicted: either way it missed what its siblings applied. A
+    /// replica that acknowledges a save truncates its journal.
+    fn fan_out(&self, request: &Request, origin: u64, wseq: Option<u64>) -> Option<Response> {
+        let mut winner = None;
         for (idx, node) in self.nodes.iter().enumerate() {
             if !node.is_live() {
                 continue;
             }
-            let covered = node.journal.lock().len();
-            match self.with_node_client(idx, |c| c.call_routed(&Request::Save, origin)) {
+            // A save covers the journal as it stands; a write leaves it be.
+            let covered = matches!(request, Request::Save).then(|| node.journal.lock().len());
+            match self.with_node_client(idx, |c| c.call_routed(request, origin, wseq)) {
                 Some(response) if response.is_ok() => {
                     node.health.lock().record_success(&self.config.health);
-                    node.journal.lock().truncate(covered);
-                    if winner.is_none() {
-                        winner = Some(strip_trace(response));
+                    if let Some(covered) = covered {
+                        node.journal.lock().truncate(covered);
                     }
+                    winner.get_or_insert(strip_trace(response));
                 }
                 _ => self.force_down(idx),
             }
@@ -467,7 +462,7 @@ impl Router {
             // Heal replays under the mutation lock so no concurrent write
             // can race the journal snapshot it replays.
             // pc-allow: C003 — heal is serialized against writes by design
-            let replayed = self.with_node_client(idx, |c| c.call_routed(&replay, origin));
+            let replayed = self.with_node_client(idx, |c| c.call_routed(&replay, origin, None));
             match replayed {
                 Some(ref r) if r.is_ok() => {
                     self.replayed
@@ -487,7 +482,7 @@ impl Router {
         // The heal checkpoint stays inside the same mutation-lock critical
         // section as the replay it covers.
         // pc-allow: C003 — heal checkpoint shares the replay's critical section
-        let saved = self.with_node_client(idx, |c| c.call_routed(&Request::Save, origin));
+        let saved = self.with_node_client(idx, |c| c.call_routed(&Request::Save, origin, None));
         match saved {
             Some(ref r) if r.is_ok() => {
                 node.journal.lock().truncate(batch.len());
@@ -610,6 +605,7 @@ pub fn start(config: RouterConfig) -> io::Result<RouterHandle> {
         quorum_mismatches: AtomicU64::new(0),
         sheds: AtomicU64::new(0),
         replayed: AtomicU64::new(0),
+        epoch: draw_epoch(),
         next_wseq: AtomicU64::new(1),
     });
 
@@ -673,9 +669,6 @@ fn route_request(shared: &Router, request: Request, origin: u64) -> Response {
             traces: shared.front.trace_dump(),
         },
         Request::Shutdown => Response::ShuttingDown,
-        Request::Replay { .. } => Response::Error {
-            message: "replay frames are replica-only; the router originates them".to_string(),
-        },
         Request::Identify { ref errors } => {
             let ranked = shared.live_walk(key_of(errors));
             let answer = if shared.config.quorum {
@@ -697,22 +690,26 @@ fn route_request(shared: &Router, request: Request, origin: u64) -> Response {
                 .read_one(&ranked, &request, origin)
                 .unwrap_or_else(|| shared.shed())
         }
-        Request::Characterize {
-            ref label,
-            ref errors,
-        } => {
-            let entry = ReplayEntry::Characterize {
-                label: label.clone(),
-                errors: errors.clone(),
-            };
-            shared.fan_out_write(entry, &request, origin)
-        }
-        Request::ClusterIngest { ref errors } => {
-            let entry = ReplayEntry::ClusterIngest {
-                errors: errors.clone(),
-            };
-            shared.fan_out_write(entry, &request, origin)
-        }
         Request::Save => shared.fan_out_save(origin),
+        // Characterize and cluster-ingest are the writes; replay is the one
+        // request left, and only the router originates it.
+        other => match other.into_write() {
+            Ok(write) => shared.fan_out_write(write, origin),
+            Err(_) => Response::Error {
+                message: "replay frames are replica-only; the router originates them".to_string(),
+            },
+        },
     }
+}
+
+/// Draws a router's write epoch, shifted into the high 32 bits of its write
+/// sequences. A replica deduplicates replayed writes only within one epoch
+/// and lets a new epoch replace its watermark, so a restarted router, which
+/// numbers its writes from 1 again, is never mistaken for the old one. The
+/// epoch comes from std's random hash keys (seeded from the OS once per
+/// thread and stepped for every `RandomState`), not from a clock, and is
+/// never 0.
+fn draw_epoch() -> u64 {
+    let drawn = std::collections::hash_map::RandomState::new().hash_one(0u8) as u32;
+    u64::from(drawn.max(1)) << 32
 }

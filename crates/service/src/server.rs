@@ -19,8 +19,8 @@
 
 use crate::codec;
 use crate::conn::{self, Call, Front, Handle, Tier};
-use crate::pool::{self, Job, Pool, PoolMetrics, Reply, SubmissionQueue, SubmitError};
-use crate::protocol::{self, Request, Response, StatsBody};
+use crate::pool::{self, Job, Pool, PoolMetrics, SubmissionQueue, SubmitError, Work};
+use crate::protocol::{self, Request, Response, SequencedEntry, StatsBody};
 use crate::store::{ShardedStore, StoreConfig};
 use pc_telemetry::counter;
 use pc_telemetry::trace::Tracer;
@@ -154,10 +154,16 @@ impl Replica {
         )
     }
 
-    /// Admits a job or answers the backpressure/shutdown refusal inline. A
-    /// refused job's stage timer still rides out with the refusal, so `busy`
-    /// responses are traced too.
-    fn submit(&self, reply: &Reply, seq: u64, job: Job) {
+    /// Admits `work` as the call's job, or answers the backpressure/shutdown
+    /// refusal inline. A refused job's stage timer still rides out with the
+    /// refusal, so `busy` responses are traced too.
+    fn submit(&self, call: Call<'_>, work: Work) {
+        let job = Job {
+            seq: call.seq,
+            reply: call.reply.clone(),
+            trace: call.trace,
+            work,
+        };
         let (job, response) = match self.queue.try_submit(job) {
             Ok(()) => return,
             Err(SubmitError::Full(job)) => (
@@ -173,7 +179,7 @@ impl Replica {
                 },
             ),
         };
-        pool::answer(reply, seq, job.into_trace(), response);
+        pool::answer(&job.reply, job.seq, job.trace, response);
     }
 }
 
@@ -185,66 +191,26 @@ impl Tier for Replica {
     }
 
     fn dispatch(&self, request: Request, call: Call<'_>) {
-        let Call {
-            seq,
-            wseq,
-            trace,
-            reply,
-            ..
-        } = call;
-        let response = match request {
-            Request::Identify { errors } => {
-                let job = Job::Identify {
-                    seq,
-                    errors,
-                    reply: reply.clone(),
-                    trace,
-                };
-                return self.submit(reply, seq, job);
+        let wseq = call.wseq.unwrap_or(0);
+        let response = match request.into_write() {
+            Ok(entry) => {
+                return self.submit(call, Work::Write(SequencedEntry { seq: wseq, entry }));
             }
-            Request::Characterize { label, errors } => {
-                let job = Job::Characterize {
-                    seq,
-                    label,
-                    errors,
-                    reply: reply.clone(),
-                    trace,
-                    wseq,
-                };
-                return self.submit(reply, seq, job);
-            }
-            Request::ClusterIngest { errors } => {
-                let job = Job::ClusterIngest {
-                    seq,
-                    errors,
-                    reply: reply.clone(),
-                    trace,
-                    wseq,
-                };
-                return self.submit(reply, seq, job);
-            }
-            Request::Replay { entries } => {
-                let job = Job::Replay {
-                    seq,
-                    entries,
-                    reply: reply.clone(),
-                    trace,
-                };
-                return self.submit(reply, seq, job);
-            }
-            Request::Ping => Response::Pong,
-            Request::Stats => Response::Stats(self.stats()),
-            Request::Metrics => Response::Metrics(
+            Err(Request::Identify { errors }) => return self.submit(call, Work::Identify(errors)),
+            Err(Request::Replay { entries }) => return self.submit(call, Work::Replay(entries)),
+            Err(Request::Ping) => Response::Pong,
+            Err(Request::Stats) => Response::Stats(self.stats()),
+            Err(Request::Metrics) => Response::Metrics(
                 self.front
                     .metrics(self.queue.depth() as u64, self.store.degraded()),
             ),
-            Request::TraceDump => Response::TraceDump {
+            Err(Request::TraceDump) => Response::TraceDump {
                 traces: self.front.trace_dump(),
             },
             // Handled inline on the connection thread: a save is a
             // durability checkpoint, and the acknowledgement must mean
             // "the rename landed", not "the job was queued".
-            Request::Save => match self.save() {
+            Err(Request::Save) => match self.save() {
                 Ok(fingerprints) => Response::Saved { fingerprints },
                 Err(e) => {
                     counter!("service.save.failed").incr();
@@ -253,10 +219,16 @@ impl Tier for Replica {
                     }
                 }
             },
-            Request::RingStatus => Response::RingStatus(self.ring_status()),
-            Request::Shutdown => Response::ShuttingDown,
+            Err(Request::RingStatus) => Response::RingStatus(self.ring_status()),
+            Err(Request::Shutdown) => Response::ShuttingDown,
+            // `into_write` takes every write; none is left here.
+            Err(write @ (Request::Characterize { .. } | Request::ClusterIngest { .. })) => {
+                Response::Error {
+                    message: format!("`{}` was not queued", write.op()),
+                }
+            }
         };
-        pool::answer(reply, seq, trace, response);
+        call.answer(response);
     }
 }
 

@@ -12,10 +12,15 @@
 //! database's read lock, and applies the threshold, all on the calling
 //! thread. Mutations (characterize, cluster-ingest) are serialized by the
 //! dispatcher thread (see [`crate::pool`]) and take the write locks they
-//! need. The [`LshIndex`] routes every identify to the candidate ids that
-//! share a MinHash band with the query, so only those pay full
-//! modified-Jaccard distance.
+//! need. Every write the server takes, live or replayed from a router's
+//! journal, goes through one step, [`ShardedStore::apply_write`], which
+//! also keeps the applied-write watermark that lets
+//! [`ShardedStore::apply_replay`] skip what this store already applied.
+//! The [`LshIndex`] routes every identify to the candidate ids that share a
+//! MinHash band with the query, so only those pay full modified-Jaccard
+//! distance.
 
+use crate::protocol::{ReplayEntry, Response, SequencedEntry};
 use parking_lot::{Mutex, RwLock};
 use pc_kernels::Parallelism;
 use pc_telemetry::counter;
@@ -100,6 +105,18 @@ impl std::error::Error for StoreError {}
 /// `Err` with the closest candidate scored, if any.
 pub type Verdict = Result<(String, f64), Option<(String, f64)>>;
 
+/// The applied-write watermark once write `seq` lands on `mark`. Within one
+/// router epoch (the high 32 bits of both, see [`crate::router`]) it only
+/// rises; a write from another epoch replaces it; an unsequenced write
+/// (`seq` 0) leaves it alone.
+fn advance(mark: u64, seq: u64) -> u64 {
+    match seq {
+        0 => mark,
+        _ if mark >> 32 == seq >> 32 => mark.max(seq),
+        _ => seq,
+    }
+}
+
 /// Candidate-set size at which scoring borrows the kernel thread pool.
 /// Routine LSH-routed identifies shortlist about one candidate and score on
 /// the calling thread; degraded full scans of large stores cross it.
@@ -123,10 +140,11 @@ pub struct ShardedStore {
     /// fall back to a full linear scan and index writes are skipped.
     degraded: AtomicBool,
     /// Highest router write sequence this store has processed, live or via
-    /// replay. Deliberately in-memory only: after a restart it resets to 0,
-    /// which is exactly "re-apply everything since my last checkpoint" —
-    /// the router's journal holds precisely the entries since this
-    /// replica's last acked save.
+    /// replay, within the epoch of the router that stamped it. Deliberately
+    /// in-memory only: after a restart it resets to 0, which is exactly
+    /// "re-apply everything since my last checkpoint" — the router's
+    /// journal holds precisely the entries since this replica's last acked
+    /// save. Written only by [`ShardedStore::apply_write`].
     applied_wseq: AtomicU64,
 }
 
@@ -420,52 +438,71 @@ impl ShardedStore {
         }
     }
 
-    /// Records that a routed write stamped with `wseq` was processed
-    /// live, advancing the applied-write watermark. Called by the
-    /// dispatcher once the mutation ran (even if it was refused by
-    /// validation — the journal entry for it would be refused again).
-    pub fn note_routed_write(&self, wseq: u64) {
-        self.applied_wseq.fetch_max(wseq, Ordering::AcqRel);
-    }
-
     /// The highest router write sequence this store has processed.
     pub fn applied_wseq(&self) -> u64 {
         self.applied_wseq.load(Ordering::Acquire)
     }
 
-    /// Applies a router journal replay batch in original order, returning
-    /// `(applied, skipped)`. Entries at or below the applied-write
-    /// watermark were already processed live (the router force-downs a
-    /// replica on *any* unacked write, including plain timeouts where no
-    /// state was lost) and are skipped — characterize and cluster-ingest
-    /// refine weights, so re-applying them would diverge this replica
-    /// from its siblings permanently. Entries that fail store validation
-    /// (size mismatch against an existing fingerprint) are skipped
-    /// rather than aborting the batch: replay must make maximal progress
-    /// toward convergence, and the router keeps the journal until a
-    /// durability checkpoint anyway.
-    pub fn apply_replay(&self, entries: &[crate::protocol::SequencedEntry]) -> (u64, u64) {
-        use crate::protocol::ReplayEntry;
+    /// Applies one write, live or replayed, and advances the applied-write
+    /// watermark to its `seq`; this is the only step that moves it.
+    ///
+    /// The watermark moves whenever the mutation returns, refused or not
+    /// (a validation refusal would be refused again on replay); a panic
+    /// skips it, so a replay retries the entry.
+    ///
+    /// # Errors
+    ///
+    /// The [`StoreError`] the mutation reports.
+    pub fn apply_write(&self, write: &SequencedEntry) -> Result<Response, StoreError> {
+        let outcome = match &write.entry {
+            ReplayEntry::Characterize { label, errors } => {
+                self.characterize(label, errors)
+                    .map(|(weight, observations, created)| Response::Characterized {
+                        label: label.clone(),
+                        weight,
+                        observations,
+                        created,
+                    })
+            }
+            ReplayEntry::ClusterIngest { errors } => {
+                self.cluster_ingest(errors)
+                    .map(|(cluster, seeded, clusters)| Response::Clustered {
+                        cluster,
+                        seeded,
+                        clusters,
+                    })
+            }
+        };
+        let _ = self
+            .applied_wseq
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |mark| {
+                Some(advance(mark, write.seq))
+            });
+        outcome
+    }
+
+    /// Applies a router journal replay batch in original order through
+    /// [`ShardedStore::apply_write`], returning `(applied, skipped)`.
+    /// Entries the watermark covers — same router epoch, at or below it —
+    /// were already processed live (the router force-downs a replica on
+    /// *any* unacked write, including plain timeouts where no state was
+    /// lost) and are skipped: characterize and cluster-ingest refine
+    /// weights, so re-applying them would diverge this replica from its
+    /// siblings permanently. An entry that fails store validation counts as
+    /// neither and does not abort the batch: replay must make maximal
+    /// progress toward convergence.
+    pub fn apply_replay(&self, entries: &[SequencedEntry]) -> (u64, u64) {
         let mut applied = 0u64;
         let mut skipped = 0u64;
-        for sequenced in entries {
-            // seq 0 predates sequencing (or is a hand-built batch): always
-            // apply, since the watermark itself starts at 0.
-            if sequenced.seq != 0 && sequenced.seq <= self.applied_wseq() {
+        for write in entries {
+            // Covered: a sequenced write that would not move the mark.
+            let mark = self.applied_wseq();
+            if write.seq != 0 && advance(mark, write.seq) == mark {
                 counter!("service.store.replay_skipped").incr();
                 skipped = skipped.saturating_add(1);
-                continue;
-            }
-            let ok = match &sequenced.entry {
-                ReplayEntry::Characterize { label, errors } => {
-                    self.characterize(label, errors).is_ok()
-                }
-                ReplayEntry::ClusterIngest { errors } => self.cluster_ingest(errors).is_ok(),
-            };
-            if ok {
+            } else if self.apply_write(write).is_ok() {
                 applied = applied.saturating_add(1);
             }
-            self.applied_wseq.fetch_max(sequenced.seq, Ordering::AcqRel);
         }
         (applied, skipped)
     }
@@ -604,6 +641,94 @@ mod tests {
                 .unwrap();
         }
         store
+    }
+
+    /// Everything a write can change: the database bytes, the cluster
+    /// book and the watermark.
+    fn written_state(store: &ShardedStore) -> (Vec<u8>, usize, u64) {
+        let mut db = Vec::new();
+        store.save_db(&mut db).unwrap();
+        (db, store.cluster_count(), store.applied_wseq())
+    }
+
+    #[test]
+    fn live_and_replayed_writes_converge() {
+        let epoch = 7u64 << 32;
+        let writes: Vec<SequencedEntry> = [
+            ReplayEntry::Characterize {
+                label: "dev-a".to_string(),
+                errors: es(&chip_bits(1)),
+            },
+            ReplayEntry::Characterize {
+                label: "dev-a".to_string(),
+                errors: es(&chip_bits(1)[..30]),
+            },
+            ReplayEntry::ClusterIngest {
+                errors: es(&[1, 2, 3, 4]),
+            },
+            ReplayEntry::ClusterIngest {
+                errors: es(&[1, 2, 3, 9]),
+            },
+            // Refused: dev-a is a 4096-bit fingerprint.
+            ReplayEntry::Characterize {
+                label: "dev-a".to_string(),
+                errors: ErrorString::from_sorted(vec![1, 2], 64).unwrap(),
+            },
+        ]
+        .into_iter()
+        .zip(1..)
+        .map(|(entry, n)| SequencedEntry {
+            seq: epoch | n,
+            entry,
+        })
+        .collect();
+
+        let config = StoreConfig {
+            threshold: 0.3,
+            ..StoreConfig::default()
+        };
+        let live = ShardedStore::new(config.clone());
+        let outcomes: Vec<bool> = writes.iter().map(|w| live.apply_write(w).is_ok()).collect();
+        assert_eq!(outcomes, [true, true, true, true, false]);
+        assert_eq!(live.cluster_count(), 1, "the second ingest joins the first");
+
+        let replayed = ShardedStore::new(config);
+        assert_eq!(replayed.apply_replay(&writes), (4, 0));
+        let state = written_state(&live);
+        assert_eq!(state, written_state(&replayed));
+        assert_eq!(state.2, epoch | 5, "the refusal advances the watermark");
+
+        // Replaying the batch into the store that took it live skips it all.
+        assert_eq!(live.apply_replay(&writes), (0, 5));
+        assert_eq!(written_state(&live), state);
+    }
+
+    #[test]
+    fn a_new_router_epoch_replaces_the_watermark() {
+        let store = ShardedStore::new(StoreConfig::default());
+        let write = |seq: u64, chip: u64| SequencedEntry {
+            seq,
+            entry: ReplayEntry::Characterize {
+                label: format!("chip-{chip}"),
+                errors: es(&chip_bits(chip)),
+            },
+        };
+        let old = 1u64 << 32;
+        let new = 2u64 << 32;
+        for n in 1..=4 {
+            store.apply_write(&write(old | n, n)).unwrap();
+        }
+        // A restarted router numbers from 1 again: not covered.
+        assert_eq!(store.apply_replay(&[write(new | 1, 5)]), (1, 0));
+        assert_eq!(store.applied_wseq(), new | 1);
+        assert_eq!(store.len(), 5);
+        // Within the new epoch, dedup works as before; unsequenced writes
+        // always apply and leave the watermark alone.
+        assert_eq!(
+            store.apply_replay(&[write(new | 1, 5), write(0, 6)]),
+            (1, 1)
+        );
+        assert_eq!(store.applied_wseq(), new | 1);
     }
 
     #[test]

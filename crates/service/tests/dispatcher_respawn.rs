@@ -5,7 +5,7 @@
 //! Its own test binary, because the fault registry is process-wide: the
 //! plan armed here must not leak probes into any other test.
 
-use pc_service::pool::{Job, Outbound, Pool, SubmissionQueue};
+use pc_service::pool::{Job, Outbound, Pool, SubmissionQueue, Work};
 use pc_service::protocol::Response;
 use pc_service::store::{ShardedStore, StoreConfig};
 use pc_telemetry::trace::Tracer;
@@ -34,11 +34,11 @@ fn worker_fault_fails_one_identify_and_the_batch_survives_the_restart() {
     let queue = Arc::new(SubmissionQueue::new(64));
     let (tx, rx) = mpsc::channel::<Outbound>();
     for seq in 0..JOBS {
-        let job = Job::Identify {
+        let job = Job {
             seq,
-            errors: chip(seq % CHIPS),
             reply: tx.clone(),
             trace: None,
+            work: Work::Identify(chip(seq % CHIPS)),
         };
         assert!(queue.try_submit(job).is_ok());
     }

@@ -383,6 +383,65 @@ fn heal_skips_entries_the_replica_already_applied() {
 }
 
 #[test]
+fn heal_after_router_restart_applies_the_new_routers_writes() {
+    let _serial = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let a = start_replica();
+    let b = start_replica();
+    let addrs = vec![a.local_addr().to_string(), b.local_addr().to_string()];
+    let fingerprints = |replica: &server::ServerHandle| {
+        let mut direct = ServiceClient::connect(replica.local_addr()).unwrap();
+        match direct.call(&Request::Stats).unwrap() {
+            Response::Stats(s) => s.fingerprints,
+            other => panic!("expected stats, got {other:?}"),
+        }
+    };
+
+    // Router 1 lands four writes on both replicas, then goes away; the
+    // replicas keep running with router 1's writes applied.
+    let rt1 = router_over(addrs.clone(), false);
+    let mut client = ServiceClient::connect(rt1.local_addr()).unwrap();
+    for c in 0..4 {
+        characterize(&mut client, c);
+    }
+    drop(client);
+    rt1.shutdown_and_wait().unwrap();
+
+    // Router 2's first write: replica a acks (probe 1), replica b is
+    // vetoed (probe 2) and evicted with that write journaled.
+    let rt2 = router_over(addrs, false);
+    let mut client = ServiceClient::connect(rt2.local_addr()).unwrap();
+    let _armed = Armed::install("seed=1;ring.forward=n2");
+    characterize(&mut client, 4);
+    assert!(
+        ring_status(&mut client)
+            .nodes
+            .iter()
+            .any(|n| n.state == "down" && n.pending == 1),
+        "the vetoed replica must be evicted with router 2's write pending"
+    );
+
+    // Heal replays router 2's write. Router 2 numbers its writes afresh,
+    // so b's watermark from router 1 must not pass for having applied it.
+    assert!(
+        wait_until(30, || {
+            let s = ring_status(&mut client);
+            s.nodes.iter().all(|n| n.state == "up")
+        }),
+        "the vetoed replica never rejoined"
+    );
+    assert_eq!(fingerprints(&a), 5);
+    assert_eq!(
+        fingerprints(&b),
+        5,
+        "the healed replica skipped a write it never applied"
+    );
+
+    rt2.shutdown_and_wait().unwrap();
+    a.shutdown_and_wait().unwrap();
+    b.shutdown_and_wait().unwrap();
+}
+
+#[test]
 fn shed_write_is_retracted_not_replayed() {
     let _serial = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let a = start_replica();
